@@ -11,7 +11,7 @@ Run:  python examples/spec_study.py [benchmark ...]
 import sys
 
 from repro import MachineConfig, simulate
-from repro.analysis import analyze_chains, analyze_stream
+from repro.analysis import analyze_dataflow
 from repro.harness.runner import class_sizes
 from repro.workloads import BENCHMARKS, SyntheticWorkload
 
@@ -22,8 +22,7 @@ def study(name: str, insts: int = 10_000) -> None:
     profile = BENCHMARKS[name]
     stream = list(SyntheticWorkload(profile, total_insts=insts))
 
-    consumers = analyze_stream(iter(stream))
-    chains = analyze_chains(iter(stream))
+    consumers, chains = analyze_dataflow(stream)
     series = chains.figure3_series()
 
     print(f"\n=== {name} ({profile.suite}) ===")

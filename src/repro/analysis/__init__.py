@@ -1,8 +1,15 @@
 """Dataflow analyses reproducing the paper's motivation study (Figs 1-3)
 and the shadow-cell demand study (Fig 9)."""
 
-from repro.analysis.consumers import ConsumerAnalysis, analyze_stream
-from repro.analysis.reuse_chains import ReuseChainAnalysis, analyze_chains
+from repro.analysis.dataflow import (
+    ConsumerAnalysis,
+    Dataflow,
+    ReuseChainAnalysis,
+    analyze_chains,
+    analyze_dataflow,
+    analyze_registers,
+    analyze_stream,
+)
 from repro.analysis.shadow_demand import ShadowDemand, measure_shadow_demand
 from repro.analysis.lifetimes import (
     LifetimeAnalysis,
@@ -12,9 +19,12 @@ from repro.analysis.lifetimes import (
 
 __all__ = [
     "ConsumerAnalysis",
-    "analyze_stream",
+    "Dataflow",
     "ReuseChainAnalysis",
     "analyze_chains",
+    "analyze_dataflow",
+    "analyze_registers",
+    "analyze_stream",
     "ShadowDemand",
     "measure_shadow_demand",
     "LifetimeAnalysis",

@@ -67,7 +67,7 @@ import argparse
 import os
 import sys
 
-from repro.analysis import analyze_chains, analyze_stream
+from repro.analysis import analyze_dataflow
 from repro.harness.runner import Scale
 from repro.isa import assemble
 from repro.pipeline.config import MachineConfig
@@ -581,7 +581,8 @@ def cmd_figures(args) -> int:
         print(table1(), "\n")
         print(table2_result().render(), "\n")
         print(table3().render(), "\n")
-    # analysis-only figures (no timing simulation -> no sweep engine)
+    # figures outside the sweep engine: 1-3 analyze each profile's cached
+    # trace, 9 simulates four profiles once with unbounded shadow cells
     for key, fn in (("fig1", figure1), ("fig2", figure2), ("fig3", figure3),
                     ("fig9", figure9)):
         if want(key):
@@ -823,11 +824,11 @@ def cmd_motivation(args) -> int:
     if args.name not in BENCHMARKS:
         print(f"unknown benchmark {args.name!r}", file=sys.stderr)
         return 1
+    from repro.harness.cache import cached_stream
+
     profile = BENCHMARKS[args.name]
-    stream = list(SyntheticWorkload(profile, total_insts=args.insts,
-                                    seed=args.seed))
-    consumers = analyze_stream(iter(stream))
-    chains = analyze_chains(iter(stream))
+    consumers, chains = analyze_dataflow(
+        cached_stream(profile, args.insts, args.seed))
     series = chains.figure3_series()
     print(f"{args.name} ({profile.suite}), {args.insts} instructions")
     print(f"single-consumer values (Fig 2):        "

@@ -27,9 +27,10 @@ gzipped JSON-lines container (:mod:`repro.workloads.trace_io` format,
 measured legacy comparison path (``REPRO_TRACE_FORMAT=jsonl``).  Both
 live under ``REPRO_TRACE_DIR``, else ``REPRO_CACHE_DIR``/traces, else
 ``~/.cache/repro/traces``.  :func:`cached_stream` is the harness entry
-point: cold ProcessPool workers decode a trace from disk (or from the
-parent's shared-memory broadcast, :mod:`repro.harness.parallel`) instead
-of re-running the generator; a process-local LRU (:class:`TraceMemo`,
+point for sweep points and the analysis figures alike: cold ProcessPool
+workers decode a trace from disk (or from the parent's shared-memory
+broadcast, :mod:`repro.harness.parallel`) instead of re-running the
+generator; a process-local LRU (:class:`TraceMemo`,
 sized by ``REPRO_TRACE_MEMO``) keeps the parsed columns of recently
 used workloads so repeat points pay only re-materialization.
 
@@ -55,7 +56,7 @@ from typing import Optional, Union
 
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.stats import SampledStats, SimStats, stats_from_dict
-from repro.workloads.profiles import WorkloadProfile
+from repro.workloads.profiles import WorkloadProfile, profile_key
 
 
 def default_cache_dir() -> Path:
@@ -528,10 +529,17 @@ class TraceCache:
         return len(entries)
 
 
+def memo_key(profile: WorkloadProfile, insts: int, seed: int,
+             body_iters: int = 50, format: str = "binary") -> tuple:
+    """:class:`TraceMemo` key of one trace: the profile's whole content
+    (like :func:`trace_key`), never just its name."""
+    return (profile_key(profile), insts, seed, body_iters, format)
+
+
 class TraceMemo:
     """Process-local LRU of decoded trace streams.
 
-    Keyed by (profile, insts, seed, body_iters, format); bounded by
+    Keyed by :func:`memo_key`; bounded by
     ``REPRO_TRACE_MEMO`` (default 32 entries, 0 disables).  Holding the
     stream object — not just its bytes — keeps a binary stream's parsed
     columns warm, so a worker revisiting a workload pays only
@@ -612,16 +620,17 @@ def cached_stream(profile: WorkloadProfile, insts: int, seed: int = 1,
 
         return shared_workload(profile, insts, seed, body_iters)
     trace_cache = cache if cache is not None else TraceCache()
-    memo_key = (profile.name, insts, seed, body_iters, trace_cache.format)
-    stream = TRACE_MEMO.get(memo_key)
+    key = memo_key(profile, insts, seed, body_iters, trace_cache.format)
+    stream = TRACE_MEMO.get(key)
     if stream is None:
-        key = trace_cache.key_for(profile, insts, seed, body_iters)
-        stream = trace_cache.get_stream(key, insts)
+        disk_key = trace_cache.key_for(profile, insts, seed, body_iters)
+        stream = trace_cache.get_stream(disk_key, insts)
         if stream is None:
             from repro.workloads.generator import SyntheticWorkload
 
             workload = SyntheticWorkload(profile, total_insts=insts,
                                          seed=seed, body_iters=body_iters)
-            stream = trace_cache.put_insts(key, list(iter(workload)), insts)
-        TRACE_MEMO.put(memo_key, stream)
+            stream = trace_cache.put_insts(disk_key, list(iter(workload)),
+                                           insts)
+        TRACE_MEMO.put(key, stream)
     return stream

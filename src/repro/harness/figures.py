@@ -18,14 +18,15 @@ figure's rows/series as text.  Figure numbering follows the paper:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
-from repro.analysis import analyze_chains, analyze_stream, measure_shadow_demand
+from repro.analysis import Dataflow, analyze_dataflow, measure_shadow_demand
+from repro.harness.cache import TraceStream, cached_stream
 from repro.harness.parallel import (SweepPoint, SweepError, collect_stats,
                                     run_points)
 from repro.harness.render import pct, text_table
 from repro.harness.runner import Scale, geomean, sweep_speedups
-from repro.workloads.generator import SyntheticWorkload
 
 _SUITE_LABELS = {
     "specint": "SPECint",
@@ -38,6 +39,21 @@ def _suite_profiles(scale: Scale, key: str):
     if key == "media+cog":
         return scale.profiles("mediabench") + scale.profiles("cognitive")
     return scale.profiles(key)
+
+
+#: stream -> its Dataflow, kept exactly as long as the trace memo keeps
+#: the stream, so Figures 1, 2 and 3 share one register pass per profile
+_DATAFLOWS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _dataflow(profile, scale: Scale) -> Dataflow:
+    """One profile's register dataflow, from the same cached trace as the
+    sweep points of ``scale`` (generated at most once per trace cache)."""
+    stream = cached_stream(profile, scale.insts, scale.seed)
+    result = _DATAFLOWS.get(stream)
+    if result is None:
+        result = _DATAFLOWS[stream] = analyze_dataflow(stream)
+    return result
 
 
 # ====================================================================== Fig 1
@@ -72,8 +88,7 @@ def figure1(scale: Scale | None = None) -> Figure1Result:
     for suite in ("specint", "specfp", "media+cog"):
         rows = []
         for profile in _suite_profiles(scale, suite):
-            analysis = analyze_stream(
-                iter(SyntheticWorkload(profile, scale.insts, scale.seed)))
+            analysis = _dataflow(profile, scale).consumers
             rows.append((profile.name, analysis.redefine_same_fraction,
                          analysis.redefine_other_fraction))
         result.series[suite] = rows
@@ -107,8 +122,7 @@ def figure2(scale: Scale | None = None) -> Figure2Result:
         profiles = _suite_profiles(scale, suite)
         accumulated: dict[int, float] = {}
         for profile in profiles:
-            analysis = analyze_stream(
-                iter(SyntheticWorkload(profile, scale.insts, scale.seed)))
+            analysis = _dataflow(profile, scale).consumers
             for bucket, fraction in analysis.consumer_fractions().items():
                 accumulated[bucket] = accumulated.get(bucket, 0.0) + fraction
         result.histograms[suite] = {
@@ -152,8 +166,7 @@ def figure3(scale: Scale | None = None) -> Figure3Result:
     for suite in ("specint", "specfp", "media+cog"):
         rows = []
         for profile in _suite_profiles(scale, suite):
-            chains = analyze_chains(
-                iter(SyntheticWorkload(profile, scale.insts, scale.seed)))
+            chains = _dataflow(profile, scale).chains
             rows.append((profile.name, chains.figure3_series()))
         result.series[suite] = rows
     return result
@@ -178,11 +191,17 @@ class Figure9Result:
 
 
 def figure9(scale: Scale | None = None) -> Figure9Result:
+    from repro.workloads.trace_codec import decode
+
     scale = scale or Scale.from_env()
     profiles = scale.profiles("specfp")[:4]
     merged = {1: [], 2: [], 3: []}
     for profile in profiles:
-        workload = list(SyntheticWorkload(profile, scale.insts, scale.seed))
+        stream = cached_stream(profile, scale.insts, scale.seed)
+        # one pass: decode the blob without parking its parsed columns in
+        # the memo'd stream, where they would outlive the simulation
+        workload = (decode(stream.blob) if isinstance(stream, TraceStream)
+                    else stream)
         demand = measure_shadow_demand(workload, total_regs=192)
         for k in (1, 2, 3):
             merged[k].extend(demand.samples[k])

@@ -57,7 +57,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from repro.pipeline.stats import SimStats, stats_from_dict
-from repro.workloads.profiles import WorkloadProfile
+from repro.workloads.profiles import WorkloadProfile, profile_key
 
 #: environment default for ``jobs`` when the caller passes None
 JOBS_ENV = "REPRO_JOBS"
@@ -243,8 +243,9 @@ _SHM_WORKLOADS: dict[tuple, tuple[str, int]] = {}
 
 
 def _workload_key(point: SweepPoint) -> tuple:
-    """Identity of the workload a point consumes (cached_stream inputs)."""
-    return (point.profile.name, point.insts, point.seed, 50)
+    """Identity of the workload a point consumes (cached_stream inputs),
+    keyed on the profile's content like the trace cache itself."""
+    return (profile_key(point.profile), point.insts, point.seed, 50)
 
 
 def _attach_shared_workload(point: SweepPoint) -> None:
@@ -262,10 +263,10 @@ def _attach_shared_workload(point: SweepPoint) -> None:
     entry = _SHM_WORKLOADS.get(wkey)
     if entry is None:
         return
-    from repro.harness.cache import TRACE_MEMO, TraceStream
+    from repro.harness.cache import TRACE_MEMO, TraceStream, memo_key
 
-    memo_key = (point.profile.name, point.insts, point.seed, 50, "binary")
-    if TRACE_MEMO.get(memo_key) is not None:
+    key = memo_key(point.profile, point.insts, point.seed)
+    if TRACE_MEMO.get(key) is not None:
         return
     name, size = entry
     try:
@@ -284,7 +285,7 @@ def _attach_shared_workload(point: SweepPoint) -> None:
         # once; unregistering here would strip the parent's entry and
         # make that unlink KeyError inside the tracker.
         segment.close()
-    TRACE_MEMO.put(memo_key, TraceStream(blob, point.insts))
+    TRACE_MEMO.put(key, TraceStream(blob, point.insts))
 
 
 class WorkloadBroadcast:
@@ -384,7 +385,7 @@ _KERNEL_KEYS: dict[tuple, Optional[str]] = {}
 
 def _kernel_key(point: SweepPoint) -> Optional[str]:
     """The compiled-kernel identity a point will execute under, or None."""
-    cache_key = (point.profile.name, point.scheme, point.size,
+    cache_key = (profile_key(point.profile), point.scheme, point.size,
                  point.port_scheme)
     if cache_key in _KERNEL_KEYS:
         return _KERNEL_KEYS[cache_key]

@@ -36,7 +36,7 @@ from typing import Iterator, Optional
 from repro.isa.dyninst import DynInst
 from repro.isa.opcodes import Op
 from repro.isa.registers import RegClass, RegRef, freg, xreg
-from repro.workloads.profiles import WorkloadProfile
+from repro.workloads.profiles import WorkloadProfile, profile_key
 
 # register conventions inside generated code (per class):
 #   index 0..24   value registers managed by the builder
@@ -410,7 +410,7 @@ class SyntheticWorkload:
 
 
 # ---------------------------------------------------------------- shared workloads
-#: memoized workloads keyed by (profile name, insts, seed, body_iters);
+#: memoized workloads keyed by (profile content, insts, seed, body_iters);
 #: bounded so long full-scale sweeps don't accumulate skeletons forever
 _SHARED_LIMIT = 64
 _shared_workloads: "OrderedDict[tuple, SyntheticWorkload]" = OrderedDict()
@@ -424,10 +424,10 @@ def shared_workload(profile: WorkloadProfile, total_insts: int, seed: int = 1,
     instance yields the identical dynamic stream — baseline and proposed
     runs of a sweep point provably see the same instructions, and the
     skeleton (the expensive part of construction) is built once.  Profiles
-    are keyed by name: two profiles sharing a name must be the same
-    benchmark (true for everything in ``BENCHMARKS``).
+    are keyed by content (:func:`~repro.workloads.profiles.profile_key`),
+    so two profiles sharing a name never share a workload.
     """
-    key = (profile.name, profile.suite, total_insts, seed, body_iters)
+    key = (profile_key(profile), total_insts, seed, body_iters)
     workload = _shared_workloads.get(key)
     if workload is not None:
         _shared_workloads.move_to_end(key)

@@ -20,7 +20,7 @@ memory-bound, libquantum streams, gcc/gobmk are branchy, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,19 @@ class WorkloadProfile:
     locality: float = 0.6
     #: number of loop-carried accumulator chains per register class
     accumulators: int = 1
+
+
+def profile_key(profile: WorkloadProfile) -> tuple:
+    """Hashable identity of a profile's whole content.
+
+    Two profiles can share a name and differ in any other field (tests
+    and ablations derive them with ``dataclasses.replace``), so every
+    in-process memo of per-profile work keys on this, not on the name.
+    """
+    return tuple(tuple(sorted(value.items())) if isinstance(value, dict)
+                 else value
+                 for value in (getattr(profile, f.name)
+                               for f in fields(profile)))
 
 
 def _p(name, suite, one, two, three, chain, **kw) -> WorkloadProfile:

@@ -88,6 +88,9 @@ _REG_TABLE = tuple(RegRef(cls, idx) for cls in (RegClass.INT, RegClass.FP)
 _REG_INDEX = {ref: i for i, ref in enumerate(_REG_TABLE)}
 _NO_REG = 0xFF
 
+#: public alias: the dest-column byte of an instruction with no destination
+NO_REG = _NO_REG
+
 #: dest-column lookup: valid register bytes, a sentinel for the invalid
 #: gap, and None at _NO_REG — one C-level index per instruction
 _BAD_REG = object()
@@ -374,6 +377,53 @@ def validate_blob(data: bytes) -> int:
     :class:`TraceCodecError` is raised and the blob must be discarded.
     """
     return trace_count(data)
+
+
+#: ``bytes.translate`` deletion sets: what is left of a register column
+#: after deleting its valid bytes is the invalid ones
+_VALID_SRCS = bytes(range(len(_REG_TABLE)))
+_VALID_DESTS = _VALID_SRCS + bytes([_NO_REG])
+
+
+def register_columns(data: bytes) -> tuple[bytes, bytes, bytes]:
+    """The register columns of a blob: ``(dests, src_counts, srcs)``.
+
+    Every register is one byte, ``cls * INT_REGS + idx``, and a dest of
+    :data:`NO_REG` means the instruction writes no register.  ``srcs`` is
+    the flat source column: instruction ``i`` owns the next
+    ``src_counts[i]`` bytes.  The header and the payload checksum are
+    validated exactly as for :func:`decode_columns`, but no other column
+    is parsed and no :class:`DynInst` is built.
+    """
+    count, offset = _check_header(data)
+    reader = _Reader(data, offset)
+    reader.pos += count * 14  # skip op, flags (u8) and seq, pc, next_pc (u32)
+    dests = reader.bytes_(count)
+    src_counts = reader.bytes_(count)
+    srcs = reader.bytes_(reader.u32())
+    if (dests.translate(None, _VALID_DESTS)
+            or srcs.translate(None, _VALID_SRCS)):
+        raise TraceCodecError("register index out of range")
+    if sum(src_counts) != len(srcs):
+        raise TraceCodecError("source register column length mismatch")
+    return dests, src_counts, srcs
+
+
+def register_bytes(insts: Iterable[DynInst]) -> tuple[bytes, bytes, bytes]:
+    """:func:`register_columns` of ``encode(insts)``, without encoding
+    any other field."""
+    dests = bytearray()
+    src_counts = bytearray()
+    srcs = bytearray()
+    index = _REG_INDEX
+    try:
+        for dyn in insts:
+            dests.append(_NO_REG if dyn.dest is None else index[dyn.dest])
+            src_counts.append(len(dyn.srcs))
+            srcs.extend([index[ref] for ref in dyn.srcs])
+    except (KeyError, TypeError) as exc:
+        raise TraceCodecError(f"unencodable register {exc}")
+    return bytes(dests), bytes(src_counts), bytes(srcs)
 
 
 class _Reader:

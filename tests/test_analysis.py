@@ -2,11 +2,19 @@
 streams with exactly known answers."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.analysis import analyze_chains, analyze_stream, measure_shadow_demand
+from repro.analysis import (analyze_chains, analyze_dataflow, analyze_stream,
+                            measure_shadow_demand)
+from repro.harness.cache import TraceStream
+from repro.isa.dyninst import DynInst
 from repro.isa.opcodes import Op
+from repro.isa.registers import freg, xreg
 from repro.workloads import BENCHMARKS, SyntheticWorkload
+from repro.workloads.trace_codec import encode
 
+from tests.reference_analysis import reference_chains, reference_stream
 from tests.util import make_inst
 
 
@@ -130,3 +138,40 @@ def test_shadow_demand_measurement():
         assert table[1][coverage] >= table[2][coverage] >= table[3][coverage]
     # higher coverage requires at least as many registers
     assert table[1][0.99] >= table[1][0.5]
+
+
+# ------------------------------------------- register-byte core vs reference
+def _assert_matches_reference(insts):
+    """The register-byte core equals the object-based reference, whether
+    it reads a codec blob or converts the DynInsts themselves."""
+    expected = (reference_stream(insts), reference_chains(insts))
+    assert analyze_dataflow(insts) == expected
+    assert analyze_dataflow(TraceStream(encode(insts), len(insts))) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_register_core_matches_reference_on_benchmarks(name, seed):
+    _assert_matches_reference(
+        list(SyntheticWorkload(BENCHMARKS[name], 3000, seed)))
+
+
+#: a few registers of each class, so streams redefine, re-read and mix
+#: classes often
+_REGS = st.sampled_from([xreg(1), xreg(2), xreg(3), xreg(31),
+                         freg(1), freg(2), freg(31)])
+_INSTS = st.lists(st.tuples(st.none() | _REGS,
+                            st.lists(_REGS, max_size=4)), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INSTS)
+@example([(xreg(1), []), (xreg(1), [xreg(1), xreg(1)])])  # src == dest, twice
+@example([(freg(1), []), (xreg(2), [freg(1)])])  # cross-class consumer
+@example([(xreg(1), []), (None, [xreg(1)])])  # sole consumer without dest
+@example([(xreg(1), []), (xreg(2), []),  # two sole-use values, one reader
+          (xreg(3), [xreg(2), xreg(1)])])
+def test_register_core_matches_reference_on_arbitrary_streams(spec):
+    insts = [DynInst(seq, 4 * seq, Op.ADD, dest, tuple(srcs))
+             for seq, (dest, srcs) in enumerate(spec)]
+    _assert_matches_reference(insts)

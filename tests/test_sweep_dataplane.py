@@ -244,8 +244,8 @@ def test_attach_seeds_trace_memo_from_segment(trace_env):
         assert len(parallel._SHM_WORKLOADS) == 1
         reset_trace_memo()  # simulate a cold fork-started worker
         parallel._attach_shared_workload(point)
-        memo_key = (point.profile.name, point.insts, point.seed, 50,
-                    "binary")
+        memo_key = cache_mod.memo_key(point.profile, point.insts,
+                                      point.seed)
         stream = cache_mod.TRACE_MEMO.get(memo_key)
         assert stream is not None
         assert sum(1 for _ in stream) == point.insts
@@ -258,7 +258,7 @@ def test_attach_without_publication_is_a_noop(trace_env):
     point = _points(1, insts=800)[0]
     assert not parallel._SHM_WORKLOADS
     parallel._attach_shared_workload(point)
-    memo_key = (point.profile.name, point.insts, point.seed, 50, "binary")
+    memo_key = cache_mod.memo_key(point.profile, point.insts, point.seed)
     # falls back to the disk path
     assert cache_mod.TRACE_MEMO.get(memo_key) is None
 

@@ -133,6 +133,19 @@ def test_unrepresentable_streams_raise_cleanly():
         trace_codec.encode([hinted])
 
 
+@given(st.lists(_dyninsts(), max_size=25))
+@settings(max_examples=100, deadline=None)
+def test_register_columns_equal_register_bytes(insts):
+    dests, src_counts, srcs = trace_codec.register_columns(
+        trace_codec.encode(insts))
+    assert (dests, src_counts, srcs) == trace_codec.register_bytes(insts)
+    table = [RegRef(RegClass(b // INT_REGS), b % INT_REGS) for b in range(64)]
+    assert [None if b == trace_codec.NO_REG else table[b] for b in dests] \
+        == [d.dest for d in insts]
+    assert [table[b] for b in srcs] == [r for d in insts for r in d.srcs]
+    assert list(src_counts) == [len(d.srcs) for d in insts]
+
+
 # ------------------------------------------------------------ failure modes
 _BASE_INSTS = [DynInst(seq=i, pc=100 + i, op=Op.ADD,
                        dest=RegRef(RegClass.INT, i % 8),
@@ -156,6 +169,15 @@ def test_any_single_byte_corruption_is_loud(pos, delta):
 def test_any_truncation_is_loud(length):
     with pytest.raises(TraceCodecError):
         trace_codec.decode(_BASE_BLOB[:length])
+
+
+@given(st.integers(0, len(_BASE_BLOB) - 1), st.integers(1, 255))
+@settings(max_examples=100, deadline=None)
+def test_register_columns_reject_any_corruption(pos, delta):
+    corrupted = bytearray(_BASE_BLOB)
+    corrupted[pos] ^= delta
+    with pytest.raises(TraceCodecError):
+        trace_codec.register_columns(bytes(corrupted))
 
 
 def _skewed_blob() -> bytes:
