@@ -42,8 +42,9 @@ kernel-smoke:
 ports-smoke:
 	$(PYTHON) tools/ports_smoke.py
 
-# sweep data plane: small grid bit-identical across serial, shared-memory
-# parallel and legacy jsonl paths; broadcast engages and leaks nothing
+# sweep backends + data plane: small grid bit-identical across serial, the
+# worker pool (shared-memory, legacy jsonl, timeout+retries) and the fleet
+# coordinator degraded to local runs; broadcast engages and leaks nothing
 sweep-smoke:
 	$(PYTHON) tools/sweep_smoke.py
 

@@ -18,6 +18,10 @@ committed, which the protocol enforces structurally:
   deadline (worker killed, partitioned, or just stalled) requeues the
   point for someone else — at most ``retries`` re-leases before the
   point is reported failed;
+* leases are handed out by the same
+  :class:`~repro.harness.parallel.PointQueue` as the local worker pool,
+  so a worker keeps leasing the workload whose trace it already holds,
+  and retry-or-fail and resolve-once are the pool's own rules;
 * a **result upload is verified, then committed**: the frame CRC, the
   SHA-256 body digest and a full ``stats_from_dict`` round-trip must all
   pass before anything reaches the journal or cache; a truncated or
@@ -37,7 +41,6 @@ import socket
 import socketserver
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -46,6 +49,9 @@ from repro.fleet.cas import CasError, ContentStore, blob_digest, verify_digest
 
 #: delay (seconds) suggested to an idle worker before its next lease ask
 IDLE_DELAY = 0.2
+
+#: worker name under which the coordinator's own local runs pick points
+LOCAL_WORKER = "(local)"
 
 
 @dataclass(frozen=True)
@@ -186,7 +192,12 @@ class _FleetHandler(socketserver.BaseRequestHandler):
 
 
 class FleetCoordinator:
-    """Owns the point queue, leases, commits and the TCP server."""
+    """Owns the point queue, leases, commits and the TCP server.
+
+    Every access to the :class:`~repro.harness.parallel.PointQueue`
+    happens under ``_lock``: handler threads and the local-degrade loop
+    share it.
+    """
 
     def __init__(
         self,
@@ -202,22 +213,25 @@ class FleetCoordinator:
         events: Optional[FleetEvents] = None,
     ) -> None:
         from repro.harness.cache import code_fingerprint
+        from repro.harness.parallel import PointQueue
 
         self.points = points
         self.config = config
         self.timeout = timeout
-        self.retries = retries
         self.events = events if events is not None else FleetEvents()
         self.store = store if store is not None else ContentStore()
         self.fingerprint = fingerprint if fingerprint is not None \
             else code_fingerprint()
-        self._finish = finish
         self._lock = threading.RLock()
-        self._queue: deque[tuple[int, int]] = deque(
-            (index, 1) for index in pending)
+        # requeues are immediate (no backoff): a re-leased point goes
+        # straight to the next worker that asks
+        self._queue = PointQueue(
+            points, pending, finish, retries=retries,
+            on_requeue=lambda: self.events.incr("requeues"))
         self._leases: dict[str, _Lease] = {}
         self._lease_seq = 0
-        self._unresolved: set[int] = set(pending)
+        #: worker name -> workload key of its most recent lease
+        self._last_workload: dict[str, tuple] = {}
         self._stop = threading.Event()
         self._server: Optional[_FleetServer] = None
         self._serve_thread: Optional[threading.Thread] = None
@@ -360,8 +374,9 @@ class FleetCoordinator:
     def _handle_lease(self, worker: str) -> dict:
         with self._lock:
             self._expire_leases()
-            if self._queue:
-                index, attempt = self._queue.popleft()
+            task = self._pop(worker)
+            if task is not None:
+                index, attempt = task
                 self._lease_seq += 1
                 lease_id = f"L{self._lease_seq}-{index}.{attempt}"
                 self._leases[lease_id] = _Lease(
@@ -371,7 +386,7 @@ class FleetCoordinator:
                 return {"type": "point", "lease": lease_id, "index": index,
                         "deadline": self.config.lease_deadline,
                         "point": protocol.point_to_dict(self.points[index])}
-            if self._unresolved:
+            if not self._queue.done:
                 return {"type": "idle", "delay": IDLE_DELAY}
             return {"type": "done"}
 
@@ -387,7 +402,7 @@ class FleetCoordinator:
             return {"type": "ok", "known": True}
 
     def _handle_result(self, worker: str, msg: dict, body: bytes) -> dict:
-        from repro.harness.parallel import PointResult, _bound_error
+        from repro.harness.parallel import PointResult
         from repro.pipeline.stats import stats_from_dict
 
         with self._lock:
@@ -403,8 +418,8 @@ class FleetCoordinator:
                 del self._leases[msg["lease"]]
                 self.events.note("uploads_rejected", worker=worker,
                                  reason="index mismatch")
-                self._requeue(index, lease.attempt,
-                              "result upload named the wrong point index")
+                self._queue.fail(index, lease.attempt,
+                                 "result upload named the wrong point index")
                 return {"type": "error", "fatal": False,
                         "reason": "index does not match the lease"}
             error = msg.get("error")
@@ -413,7 +428,7 @@ class FleetCoordinator:
                 # consume the lease, retry or report like any crash
                 del self._leases[msg["lease"]]
                 self.events.note("point_failures", worker=worker)
-                self._requeue(index, lease.attempt, _bound_error(str(error)))
+                self._queue.fail(index, lease.attempt, str(error))
                 return {"type": "ok"}
             try:
                 verify_digest(body, msg.get("digest", ""))
@@ -432,7 +447,7 @@ class FleetCoordinator:
                                   f"{type(exc).__name__}: {exc}"[:400]}
             del self._leases[msg["lease"]]
             self.events.incr("uploads_committed")
-            self._resolve(index, PointResult(
+            self._queue.resolve(index, PointResult(
                 self.points[index], stats=stats, attempts=lease.attempt))
             return {"type": "ok"}
 
@@ -459,6 +474,18 @@ class FleetCoordinator:
         return {"type": "ok"}
 
     # ----------------------------------------------------------- lease state
+    def _pop(self, worker: str):
+        """The next (index, attempt) for ``worker``, by workload affinity
+        against the workloads of every other live lease (caller holds
+        the lock)."""
+        owned = frozenset(self._queue.key(lease.index)
+                          for lease in self._leases.values()
+                          if lease.worker != worker)
+        task = self._queue.pop(self._last_workload.get(worker), owned)
+        if task is not None:
+            self._last_workload[worker] = self._queue.key(task[0])
+        return task
+
     def _expire_leases(self) -> None:
         """Requeue every lease past its deadline (caller holds the lock)."""
         now = time.monotonic()
@@ -467,27 +494,10 @@ class FleetCoordinator:
             lease = self._leases.pop(lease_id)
             self.events.note("leases_expired", worker=lease.worker,
                              index=lease.index, attempt=lease.attempt)
-            self._requeue(
+            self._queue.fail(
                 lease.index, lease.attempt,
                 f"lease expired after {self.config.lease_deadline}s "
                 f"without a heartbeat (worker {lease.worker})")
-
-    def _requeue(self, index: int, attempt: int, error: str) -> None:
-        from repro.harness.parallel import PointResult, _bound_error
-
-        if attempt > self.retries:
-            self._resolve(index, PointResult(
-                self.points[index], error=_bound_error(error),
-                attempts=attempt))
-            return
-        self.events.incr("requeues")
-        self._queue.append((index, attempt + 1))
-
-    def _resolve(self, index: int, result) -> None:
-        if index not in self._unresolved:
-            return  # stale duplicate; first resolution won
-        self._unresolved.discard(index)
-        self._finish(index, result)
 
     # ------------------------------------------------------------- execution
     def _local_should_run(self) -> bool:
@@ -513,22 +523,19 @@ class FleetCoordinator:
         watchdogged serial runner as a degraded local sweep.  Returns
         True when everything resolved.
         """
-        from repro.harness.parallel import (PointResult, _worker_with_timeout,
-                                            stats_from_dict)
+        from repro.harness.parallel import _worker_with_timeout
 
         while True:
             with self._lock:
-                if not self._unresolved:
+                if self._queue.done:
                     return True
                 self._expire_leases()
-                task = None
-                if self._queue and self._local_should_run():
-                    task = self._queue.popleft()
-            if self._stop.is_set() or (stop is not None and stop.is_set()):
-                if task is not None:
-                    with self._lock:
-                        self._queue.appendleft(task)
-                return False
+                if self._stop.is_set() or (stop is not None
+                                           and stop.is_set()):
+                    return False
+                task = self._pop(LOCAL_WORKER) \
+                    if len(self._queue) and self._local_should_run() \
+                    else None
             if task is None:
                 time.sleep(0.05)
                 continue
@@ -537,13 +544,7 @@ class FleetCoordinator:
             _, stats_dict, error = _worker_with_timeout(
                 (index, self.points[index]), self.timeout)
             with self._lock:
-                if error is not None:
-                    self._requeue(index, attempt, error)
-                else:
-                    self._resolve(index, PointResult(
-                        self.points[index],
-                        stats=stats_from_dict(stats_dict),
-                        attempts=attempt))
+                self._queue.report(index, attempt, stats_dict, error)
 
 
 def fleet_execute(

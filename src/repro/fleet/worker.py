@@ -13,7 +13,7 @@ deadline every few seconds; the main thread only touches the socket
 before and after.  No multiplexing, no async — a dead socket surfaces as
 an exception in whichever thread holds it, the session ends, and the
 reconnect loop (deterministic seeded backoff jitter, same scheme as the
-local fleet's retry path) starts a fresh one.  Anything the worker
+local worker pool's retry path) starts a fresh one.  Anything the worker
 abandoned mid-point comes back via lease expiry on the coordinator.
 
 Traces move through the content-addressed store: before simulating, the

@@ -27,10 +27,10 @@ gzipped JSON-lines container (:mod:`repro.workloads.trace_io` format,
 measured legacy comparison path (``REPRO_TRACE_FORMAT=jsonl``).  Both
 live under ``REPRO_TRACE_DIR``, else ``REPRO_CACHE_DIR``/traces, else
 ``~/.cache/repro/traces``.  :func:`cached_stream` is the harness entry
-point for sweep points and the analysis figures alike: cold ProcessPool
-workers decode a trace from disk (or from the parent's shared-memory
-broadcast, :mod:`repro.harness.parallel`) instead of re-running the
-generator; a process-local LRU (:class:`TraceMemo`,
+point for sweep points and the analysis figures alike: cold sweep
+workers (pool or fleet) decode a trace from disk (or from the parent's
+shared-memory broadcast, :mod:`repro.harness.parallel`) instead of
+re-running the generator; a process-local LRU (:class:`TraceMemo`,
 sized by ``REPRO_TRACE_MEMO``) keeps the parsed columns of recently
 used workloads so repeat points pay only re-materialization.
 

@@ -3,16 +3,20 @@
 Every paper figure is a grid of fully independent simulations.  This
 module turns that grid into data: a sweep is a list of
 :class:`SweepPoint` values (benchmark profile x scheme x register-file
-size x instruction count x seed) which :func:`run_points` executes —
-serially for ``jobs=1``, over a
-:class:`~concurrent.futures.ProcessPoolExecutor` for the plain parallel
-case, or (when per-point ``timeout``/``retries`` are requested) over a
-self-healing worker fleet that kills and requeues stragglers, retries
-crashed points with exponential backoff, and respawns dead workers.
-Results cross the process boundary as plain
+size x instruction count x seed) which :func:`run_points` executes on
+one of three paths: in-process for ``jobs=1`` without a ``timeout``,
+over the TCP fleet coordinator (:mod:`repro.fleet`) for ``remote=...``,
+and otherwise over a self-healing pool of forked workers that kills and
+requeues stragglers, retries failed points with exponential backoff,
+and respawns dead workers.  Results cross the process boundary as plain
 :meth:`~repro.pipeline.stats.SimStats.to_dict` dicts (cheap to pickle); a
 crashed simulation is captured as a per-point error — with its full
 worker-side traceback — instead of killing the sweep.
+
+One scheduler serves the pool and the coordinator alike:
+:class:`PointQueue` holds the pending ``(index, attempt)`` tasks, picks
+the next one for a worker by workload affinity, turns a failed attempt
+into a retry or a final error, and resolves each point exactly once.
 
 Three layers of persistence/recovery:
 
@@ -22,19 +26,22 @@ Three layers of persistence/recovery:
   completed point (with periodic atomic compaction), so a sweep killed
   mid-flight (SIGKILL, OOM, power) resumes exactly where it stopped —
   only incomplete points are re-simulated;
-* a :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
-  taken out by the OOM killer hard enough to poison the pool) rebuilds
-  the pool and requeues the in-flight points, degrading to serial
-  execution after ``POOL_FAILURE_LIMIT`` consecutive failures.
+* a worker that dies mid-point (segfault, OOM kill) costs that point one
+  attempt, like a crash or a timeout, and is respawned; ``retries``
+  decides whether the point runs again.  A point never falls back into
+  the parent process, where a process-killing point would take the
+  sweep down.  When fork itself is refused the pool shrinks, and at
+  zero workers the rest of the sweep runs in-process with the
+  ``timeout`` still enforced.
 
 The sweep data plane: before forking workers, the parent publishes each
 distinct workload's binary trace blob into
 :mod:`multiprocessing.shared_memory` (:class:`WorkloadBroadcast`,
 refcounted and unlinked by the parent alone, so worker deaths never
-leak segments), and fleet dispatch is affinity-aware
-(:class:`_AffinityQueue`): a freed worker preferentially receives points
-sharing its warm trace memo and loaded cycle kernel.  ``REPRO_NO_SHM=1``
-and ``REPRO_NO_AFFINITY=1`` disable either layer.
+leak segments), and dispatch is affinity-aware: a freed worker
+preferentially receives points of the workload its trace memo already
+holds.  ``REPRO_NO_SHM=1`` and ``REPRO_NO_AFFINITY=1`` disable either
+layer.
 
 Determinism: a point's result does not depend on how it was executed —
 ``jobs=1``, ``jobs=N``, the fleet, the cached and the journaled path,
@@ -50,8 +57,7 @@ import os
 import random
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -61,9 +67,6 @@ from repro.workloads.profiles import WorkloadProfile, profile_key
 
 #: environment default for ``jobs`` when the caller passes None
 JOBS_ENV = "REPRO_JOBS"
-
-#: consecutive BrokenProcessPool failures before degrading to jobs=1
-POOL_FAILURE_LIMIT = 3
 
 #: characters of a per-point failure message kept when journaling or
 #: uploading — a recursive traceback must not bloat every journal line,
@@ -203,13 +206,16 @@ def _bound_error(text: Optional[str]) -> Optional[str]:
     tail (the innermost frames, where the actual failure site is) and
     drops the middle — the two ends are what a debugging session reads
     first, and a pathological message (recursion tracebacks, a repr of a
-    huge structure) must stay journal- and wire-sized.
+    huge structure) must stay journal- and wire-sized.  The result,
+    truncation marker included, fits in :data:`ERROR_LIMIT`, so bounding
+    an already-bounded message returns it unchanged.
     """
     if text is None or len(text) <= ERROR_LIMIT:
         return text
-    head = ERROR_LIMIT * 5 // 8
-    tail = ERROR_LIMIT - head
-    dropped = len(text) - head - tail
+    kept = ERROR_LIMIT - 64  # room for the truncation marker line
+    head = kept * 5 // 8
+    tail = kept - head
+    dropped = len(text) - kept
     return (f"{text[:head]}\n"
             f"... [{dropped} characters truncated] ...\n"
             f"{text[-tail:]}")
@@ -377,128 +383,130 @@ class WorkloadBroadcast:
                 "published_bytes": self.published_bytes}
 
 
-# --------------------------------------------------------------- affinity
-#: memoized kernel fingerprints; (profile, scheme, size, port_scheme) ->
-#: fingerprint string or None when codegen is unavailable/disabled
-_KERNEL_KEYS: dict[tuple, Optional[str]] = {}
+# ------------------------------------------------------------- scheduling
+class PointQueue:
+    """The sweep scheduler: pending points, affinity, retries, resolution.
 
+    Every multi-process backend draws from one of these — the local
+    worker pool (:func:`_run_pool`) and the TCP fleet coordinator
+    (:class:`repro.fleet.coordinator.FleetCoordinator`) alike.
 
-def _kernel_key(point: SweepPoint) -> Optional[str]:
-    """The compiled-kernel identity a point will execute under, or None."""
-    cache_key = (profile_key(point.profile), point.scheme, point.size,
-                 point.port_scheme)
-    if cache_key in _KERNEL_KEYS:
-        return _KERNEL_KEYS[cache_key]
-    fingerprint: Optional[str] = None
-    try:
-        from repro.codegen import kernels_enabled
-        from repro.codegen.fingerprint import kernel_fingerprint
-        from repro.harness.runner import make_config
+    Pending ``(index, attempt)`` tasks are grouped by workload key (the
+    trace a point consumes).  :meth:`pop` picks, in order: a task of the
+    worker's last workload (its trace memo hits), then one of the largest
+    group no other busy worker holds (distinct workloads spread across
+    workers), then one of the largest group.  Ties break by insertion
+    order, so dispatch is deterministic for a fixed worker state.  Under
+    ``REPRO_NO_AFFINITY=1`` every task shares one group: plain FIFO.
 
-        if kernels_enabled():
-            config = make_config(point.profile, point.scheme, point.size,
-                                 port_scheme=point.port_scheme)
-            fingerprint = kernel_fingerprint(config)
-    except Exception:
-        fingerprint = None
-    _KERNEL_KEYS[cache_key] = fingerprint
-    return fingerprint
-
-
-def _affinity_order(points: list, pending: list[int]) -> list[int]:
-    """Pending indices grouped by workload key, then kernel key.
-
-    Workers consuming an ordered stream of tasks then see long runs of
-    the same workload (memo hits) and the same kernel (no module
-    reload); grouping is stable, so equal-key points keep their index
-    order.  ``REPRO_NO_AFFINITY=1`` preserves plain index order.
-    """
-    if os.environ.get(NO_AFFINITY_ENV):
-        return list(pending)
-    order: dict[tuple, int] = {}
-    for index in pending:
-        group = (_workload_key(points[index]),
-                 _kernel_key(points[index]) or "")
-        order.setdefault(group, len(order))
-    return sorted(pending, key=lambda i: (
-        order[(_workload_key(points[i]), _kernel_key(points[i]) or "")], i))
-
-
-class _AffinityQueue:
-    """Fleet dispatch queue that maximizes worker-side reuse.
-
-    Tasks are grouped by workload key, then kernel key.  ``pop`` prefers,
-    in order: a task matching the worker's last (workload, kernel) pair
-    (memo hit + loaded kernel), then the worker's last workload (memo
-    hit), then the largest workload group no other busy worker currently
-    owns (spreads distinct workloads across the fleet), then the largest
-    group outright.  Ties break by insertion order, keeping dispatch
-    deterministic for a fixed fleet state.  With ``REPRO_NO_AFFINITY=1``
-    it degrades to plain FIFO.
+    A failed attempt goes through :meth:`fail`: once ``attempt >
+    retries`` the point resolves with its bounded error, otherwise it is
+    pushed back after :func:`_backoff`.  :meth:`resolve` hands each point
+    to ``finish`` exactly once; the first resolution wins.  The queue does
+    no locking — a multi-threaded user holds its own lock around it.
     """
 
-    def __init__(self, points: list) -> None:
+    def __init__(self, points: list, pending: list[int],
+                 finish: Callable[[int, PointResult], None], *,
+                 retries: int = 0, retry_delay: float = 0.0,
+                 on_requeue: Optional[Callable[[], None]] = None) -> None:
         self._points = points
-        self._fifo = bool(os.environ.get(NO_AFFINITY_ENV))
-        #: wkey -> kkey -> list of (index, attempt); dicts keep insertion
-        #: order, lists serve as FIFO queues within a kernel group
-        self._groups: dict[tuple, dict[Optional[str], list]] = {}
-        self._order: list[tuple[int, int]] = []  # FIFO fallback view
-        self._size = 0
-
-    def push(self, index: int, attempt: int) -> None:
-        point = self._points[index]
-        kernels = self._groups.setdefault(_workload_key(point), {})
-        kernels.setdefault(_kernel_key(point), []).append((index, attempt))
-        self._order.append((index, attempt))
-        self._size += 1
+        self._finish = finish
+        self._retries = retries
+        self._retry_delay = retry_delay
+        self._on_requeue = on_requeue
+        fifo = bool(os.environ.get(NO_AFFINITY_ENV))
+        self._keys = {index: None if fifo else _workload_key(points[index])
+                      for index in pending}
+        #: workload key -> FIFO of (index, attempt); dicts keep insertion
+        #: order, which breaks ties between equal-sized groups
+        self._groups: dict[Optional[tuple], deque] = {}
+        #: (ready-at monotonic time, index, attempt) of backing-off retries
+        self._delayed: list[tuple[float, int, int]] = []
+        self._ready = 0
+        self.unresolved = set(pending)
+        for index in pending:
+            self.push(index, 1)
 
     def __len__(self) -> int:
-        return self._size
+        """Tasks ready to pop now; retries still backing off excluded."""
+        return self._ready
 
-    def _take(self, wkey: tuple, kkey: Optional[str]) -> tuple[int, int]:
-        kernels = self._groups[wkey]
-        task = kernels[kkey].pop(0)
-        if not kernels[kkey]:
-            del kernels[kkey]
-        if not kernels:
-            del self._groups[wkey]
-        self._order.remove(task)
-        self._size -= 1
+    @property
+    def done(self) -> bool:
+        return not self.unresolved
+
+    def key(self, index: int) -> Optional[tuple]:
+        """The affinity group of point ``index`` (None for all under
+        FIFO) — what a worker passes back to :meth:`pop` as ``last``."""
+        return self._keys[index]
+
+    def push(self, index: int, attempt: int) -> None:
+        self._groups.setdefault(self._keys[index], deque()).append(
+            (index, attempt))
+        self._ready += 1
+
+    def next_ready_at(self) -> Optional[float]:
+        """When the earliest backing-off retry becomes ready, if any."""
+        return min((entry[0] for entry in self._delayed), default=None)
+
+    def pop(self, last: Optional[tuple] = None,
+            owned: frozenset = frozenset()) -> Optional[tuple[int, int]]:
+        """Next ``(index, attempt)`` for a worker whose previous point was
+        of workload ``last``; ``owned`` holds the workloads other busy
+        workers are executing.  None when nothing is ready."""
+        if self._delayed:
+            now = time.monotonic()
+            due = sorted(entry for entry in self._delayed if entry[0] <= now)
+            if due:
+                self._delayed = [entry for entry in self._delayed
+                                 if entry[0] > now]
+                for _, index, attempt in due:
+                    self.push(index, attempt)
+        if not self._ready:
+            return None
+        if last not in self._groups:
+            candidates = [wkey for wkey in self._groups if wkey not in owned] \
+                or list(self._groups)
+            last = max(candidates, key=lambda wkey: len(self._groups[wkey]))
+        tasks = self._groups[last]
+        task = tasks.popleft()
+        if not tasks:
+            del self._groups[last]
+        self._ready -= 1
         return task
 
-    def _group_size(self, wkey: tuple) -> int:
-        return sum(len(tasks) for tasks in self._groups[wkey].values())
+    def resolve(self, index: int, result: PointResult) -> None:
+        if index in self.unresolved:
+            self.unresolved.discard(index)
+            self._finish(index, result)
 
-    def pop(self, last_wkey: Optional[tuple] = None,
-            last_kkey: Optional[str] = None,
-            owned: frozenset = frozenset()) -> Optional[tuple[int, int]]:
-        """Next (index, attempt) for a worker whose previous task had
-        ``(last_wkey, last_kkey)``; ``owned`` holds workload keys other
-        busy workers are executing right now."""
-        if self._size == 0:
-            return None
-        if self._fifo:
-            task = self._order.pop(0)
-            index, attempt = task
-            point = self._points[index]
-            kernels = self._groups[_workload_key(point)]
-            kernels[_kernel_key(point)].remove(task)
-            if not kernels[_kernel_key(point)]:
-                del kernels[_kernel_key(point)]
-            if not kernels:
-                del self._groups[_workload_key(point)]
-            self._size -= 1
-            return task
-        if last_wkey is not None and last_wkey in self._groups:
-            kernels = self._groups[last_wkey]
-            if last_kkey in kernels:
-                return self._take(last_wkey, last_kkey)
-            return self._take(last_wkey, next(iter(kernels)))
-        candidates = [wkey for wkey in self._groups if wkey not in owned] \
-            or list(self._groups)
-        best = max(candidates, key=self._group_size)
-        return self._take(best, next(iter(self._groups[best])))
+    def fail(self, index: int, attempt: int, error: str) -> None:
+        """Attempt ``attempt`` of point ``index`` failed (crash, timeout,
+        dead worker, expired lease): retry it or report the error."""
+        if attempt > self._retries:
+            self.resolve(index, PointResult(
+                self._points[index], error=_bound_error(error),
+                attempts=attempt))
+            return
+        if self._on_requeue is not None:
+            self._on_requeue()
+        delay = _backoff(self._retry_delay, attempt, index)
+        if delay > 0:
+            self._delayed.append((time.monotonic() + delay, index,
+                                  attempt + 1))
+        else:
+            self.push(index, attempt + 1)
+
+    def report(self, index: int, attempt: int, stats_dict: Optional[dict],
+               error: Optional[str]) -> None:
+        """Book one executed attempt, as :func:`_worker` returned it."""
+        if error is not None:
+            self.fail(index, attempt, error)
+        else:
+            self.resolve(index, PointResult(
+                self._points[index], stats=stats_from_dict(stats_dict),
+                attempts=attempt))
 
 
 # ------------------------------------------------------------------ journal
@@ -674,6 +682,13 @@ def run_points(
     same journal resumes from the last completed point.
     ``progress(done, total, result)`` fires once per resolved point.
 
+    Execution paths for the points left to run: ``remote`` set → the TCP
+    fleet coordinator; ``jobs == 1`` without a ``timeout`` → in-process,
+    in order; anything else → a pool of ``min(jobs, pending)`` forked
+    workers (at least one), fed by a :class:`PointQueue`.  In the pool a
+    worker that dies mid-point costs the point one attempt, exactly like
+    a crash or a timeout.
+
     Resilience knobs (all off by default):
 
     * ``timeout`` — per-point wall-clock seconds; a straggler's worker is
@@ -729,15 +744,7 @@ def run_points(
         return results  # type: ignore[return-value]
 
     _prewarm_kernels(points, pending)
-    multiprocess = remote is None and (timeout is not None or
-                                       min(jobs, len(pending)) > 1)
-
     try:
-        if multiprocess:
-            # publish each distinct workload blob to shared memory once,
-            # before any worker forks, so cold workers attach instead of
-            # re-reading disk per point
-            broadcast.publish(points, pending)
         if remote is not None:
             from repro.fleet.coordinator import (fleet_execute,
                                                  resolve_fleet_config)
@@ -745,23 +752,16 @@ def run_points(
             fleet_execute(points, pending, finish,
                           resolve_fleet_config(remote),
                           timeout=timeout, retries=retries)
-        elif timeout is not None:
-            # enforcing a wall-clock bound needs killable workers, even
-            # for jobs=1: run a fleet of (at least) one
-            _run_fleet(points, pending, finish,
-                       max(1, min(jobs, len(pending))),
-                       timeout, retries, retry_delay)
-        elif jobs > 1 and retries > 0:
-            # retries with jobs>1 also imply process isolation (a point
-            # that takes its worker down must not take the sweep down),
-            # so the fleet runs even for a single pending point
-            _run_fleet(points, pending, finish, min(jobs, len(pending)),
-                       None, retries, retry_delay)
-        elif jobs == 1 or len(pending) == 1:
+        elif jobs == 1 and timeout is None:
             _run_serial(points, pending, finish, retries, retry_delay)
         else:
-            _run_executor(points, pending, finish,
-                          min(jobs, len(pending)))
+            # publish each distinct workload blob to shared memory once,
+            # before any worker forks, so cold workers attach instead of
+            # re-reading disk per point.  Enforcing a timeout needs
+            # killable workers, so jobs=1 with a timeout runs a pool of one
+            broadcast.publish(points, pending)
+            _run_pool(points, pending, finish, min(jobs, len(pending)),
+                      timeout, retries, retry_delay)
     finally:
         broadcast.close()
     return results  # type: ignore[return-value]
@@ -820,10 +820,10 @@ def _worker_subprocess(payload, timeout: float):
 def _worker_with_timeout(payload, timeout: Optional[float]):
     """:func:`_worker` with the wall-clock watchdog still enforced.
 
-    Serial (in-process) execution is the degrade path of every other
-    mode, so it must honour ``timeout`` too — a sweep that fell back to
-    jobs=1 must not hang forever on the very straggler that broke the
-    pool.  On the main thread a SIGALRM itimer interrupts the point
+    In-process execution is the degrade path of a pool that cannot fork
+    and of a fleet coordinator without workers, so it must honour
+    ``timeout`` too — a degraded sweep must not hang forever on a
+    straggler.  On the main thread a SIGALRM itimer interrupts the point
     in-process; off the main thread (or without SIGALRM) the point runs
     in a killable child process instead.
     """
@@ -861,9 +861,8 @@ def _run_serial(points, pending, finish, retries: int,
     """In-process execution with bounded retry + backoff.
 
     ``timeout`` keeps the per-point wall-clock bound alive on the
-    degrade paths (broken pool, failed fleet spawn, fleet coordinator
-    running points locally) — serial mode enforces it via SIGALRM or a
-    killable child process, never silently drops it.
+    degrade path of a pool that cannot fork — serial mode enforces it
+    via SIGALRM or a killable child process, never silently drops it.
     """
     for index in pending:
         attempt = 0
@@ -879,45 +878,8 @@ def _run_serial(points, pending, finish, retries: int,
                                   attempts=attempt))
 
 
-def _run_executor(points, pending, finish, workers: int,
-                  timeout: Optional[float] = None) -> None:
-    """Plain ProcessPoolExecutor fan-out with BrokenProcessPool recovery.
-
-    A worker killed hard (OOM killer, SIGKILL) poisons the whole pool:
-    every outstanding future raises :class:`BrokenProcessPool`.  Recovery
-    rebuilds the pool and requeues exactly the unresolved points; after
-    ``POOL_FAILURE_LIMIT`` consecutive breakages the remaining points
-    degrade to in-process serial execution — slower, but immune — with
-    any per-point ``timeout`` still enforced there.
-    """
-    remaining = set(pending)
-    breakages = 0
-    while remaining:
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(remaining))) as pool:
-                # affinity ordering: grouped submission gives each worker
-                # long runs of one workload/kernel (memo + kernel reuse)
-                futures = {pool.submit(_worker, (index, points[index])): index
-                           for index in _affinity_order(points,
-                                                        sorted(remaining))}
-                for future in as_completed(futures):
-                    index, stats_dict, error = future.result()
-                    remaining.discard(index)
-                    stats = None if stats_dict is None \
-                        else stats_from_dict(stats_dict)
-                    finish(index, PointResult(points[index], stats=stats,
-                                              error=error))
-            breakages = 0
-        except BrokenProcessPool:
-            breakages += 1
-            if breakages >= POOL_FAILURE_LIMIT:
-                _run_serial(points, sorted(remaining), finish, 0, 0.0,
-                            timeout=timeout)
-                return
-
-
-def _fleet_child(conn) -> None:
-    """Fleet worker main: execute tasks from the pipe until the sentinel.
+def _pool_child(conn) -> None:
+    """Pool worker main: execute tasks from the pipe until the sentinel.
 
     Runs :func:`_worker` (which never raises), so the only exits are the
     ``None`` sentinel, a closed pipe, or being killed by the parent's
@@ -935,35 +897,35 @@ def _fleet_child(conn) -> None:
 
 @dataclass
 class _Slot:
-    """One fleet worker: a process, its pipe, and its current assignment."""
+    """One pool worker: a process, its pipe, and its current assignment."""
 
     process: object
     conn: object
     index: Optional[int] = None  # point index in flight, or None (idle)
     attempt: int = 0
     deadline: Optional[float] = None
-    #: affinity state: workload/kernel keys of the most recent dispatch —
-    #: kept across completions so an idle worker's warm memo is known
+    #: workload key of the most recent dispatch — kept across
+    #: completions so an idle worker's warm trace memo is known
     wkey: Optional[tuple] = None
-    kkey: Optional[str] = None
 
     @property
     def busy(self) -> bool:
         return self.index is not None
 
 
-def _run_fleet(points, pending, finish, workers: int,
-               timeout: Optional[float], retries: int,
-               retry_delay: float) -> None:
-    """Self-healing worker fleet: direct task dispatch over pipes, a
-    wall-clock watchdog per in-flight point, kill-and-requeue for
+def _run_pool(points, pending, finish, workers: int,
+              timeout: Optional[float], retries: int,
+              retry_delay: float) -> None:
+    """Self-healing worker pool: direct task dispatch over pipes, a
+    wall-clock watchdog per in-flight point, kill-and-respawn for
     stragglers and dead workers, bounded retries with backoff.
 
-    Dispatch is affinity-aware (:class:`_AffinityQueue`): a freed worker
-    preferentially receives a point sharing its previous workload (warm
-    trace memo) and kernel (loaded module), while distinct workloads
-    spread across distinct workers.  Scheduling never affects results —
-    a point is a pure function of itself — only wall-clock.
+    A :class:`PointQueue` decides what each freed worker runs next and
+    whether a failed attempt is retried; scheduling never affects
+    results — a point is a pure function of itself — only wall-clock.
+    A refused fork (rlimit, memory) shrinks the pool, at start-up or on
+    any respawn; with no worker left, the unresolved points run
+    in-process with the wall-clock watchdog still enforced.
 
     Workers are forked (where available) so test doubles installed on
     :data:`_POINT_RUNNER` propagate; each worker owns a dedicated
@@ -978,13 +940,19 @@ def _run_fleet(points, pending, finish, workers: int,
     except ValueError:  # pragma: no cover - non-POSIX fallback
         ctx = multiprocessing.get_context()
 
-    def spawn() -> _Slot:
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(target=_fleet_child, args=(child_conn,),
-                              daemon=True)
-        process.start()
-        child_conn.close()
-        return _Slot(process=process, conn=parent_conn)
+    def spawn() -> Optional[_Slot]:
+        conns = ()
+        try:
+            conns = ctx.Pipe()
+            process = ctx.Process(target=_pool_child, args=(conns[1],),
+                                  daemon=True)
+            process.start()
+        except OSError:
+            for conn in conns:
+                conn.close()
+            return None
+        conns[1].close()
+        return _Slot(process=process, conn=conns[0])
 
     def retire(slot: _Slot) -> None:
         try:
@@ -994,135 +962,94 @@ def _run_fleet(points, pending, finish, workers: int,
         slot.process.kill()
         slot.process.join()
 
-    # affinity queue of (point index, attempt) ready to dispatch now;
-    # delayed holds (ready-at monotonic time, index, attempt) backing off
-    queue = _AffinityQueue(points)
-    for index in pending:
-        queue.push(index, 1)
-    delayed: list[tuple[float, int, int]] = []
-    unresolved = set(pending)
-    slots = []
-    try:
-        for _ in range(workers):
-            slots.append(spawn())
-    except OSError:
-        pass  # fork refused (rlimit, memory): run with what we got
-    if not slots:
-        # cannot fork at all — degrade to in-process serial execution,
-        # with the wall-clock watchdog still enforced rather than
-        # silently dropped
-        _run_serial(points, sorted(unresolved), finish, retries,
-                    retry_delay, timeout=timeout)
-        return
+    def replace(slot: _Slot, error: str) -> None:
+        """The worker's point failed with it: fail the attempt, and
+        respawn the worker or, when fork is refused, shrink the pool."""
+        index, attempt = slot.index, slot.attempt
+        retire(slot)
+        fresh = spawn()
+        if fresh is None:
+            slots.remove(slot)
+        else:
+            slots[slots.index(slot)] = fresh
+        queue.fail(index, attempt, error)
 
-    def requeue(index: int, attempt: int, error: str) -> None:
-        """A point crashed/timed out/lost its worker: retry or fail."""
-        if attempt > retries:
-            finish(index, PointResult(points[index], error=error,
-                                      attempts=attempt))
-            unresolved.discard(index)
-            return
-        delay = _backoff(retry_delay, attempt, index)
-        delayed.append((time.monotonic() + delay, index, attempt + 1))
-
+    queue = PointQueue(points, pending, finish, retries=retries,
+                       retry_delay=retry_delay)
+    slots: list[_Slot] = []
+    for _ in range(workers):
+        slot = spawn()
+        if slot is None:
+            break  # fork refused: run with what we got
+        slots.append(slot)
     try:
-        while unresolved:
+        while not queue.done:
+            if not slots:
+                # cannot fork at all — degrade to in-process execution,
+                # with the wall-clock watchdog enforced rather than dropped
+                _run_serial(points, sorted(queue.unresolved), queue.resolve,
+                            retries, retry_delay, timeout=timeout)
+                return
             now = time.monotonic()
-            # move backoff-expired tasks into the ready queue
-            if delayed:
-                ready = [entry for entry in delayed if entry[0] <= now]
-                if ready:
-                    delayed[:] = [e for e in delayed if e[0] > now]
-                    for _, index, attempt in sorted(ready):
-                        queue.push(index, attempt)
-            # dispatch ready tasks to idle slots, best-affinity first
-            for slot in slots:
-                if not len(queue):
-                    break
+            for slot in list(slots):
                 if slot.busy:
                     continue
-                owned = frozenset(s.wkey for s in slots
-                                  if s is not slot and s.busy
-                                  and s.wkey is not None)
-                index, attempt = queue.pop(slot.wkey, slot.kkey, owned)
-                slot.index, slot.attempt = index, attempt
-                slot.wkey = _workload_key(points[index])
-                slot.kkey = _kernel_key(points[index])
-                slot.deadline = (now + timeout) if timeout is not None \
-                    else None
+                owned = frozenset(other.wkey for other in slots
+                                  if other is not slot and other.busy)
+                task = queue.pop(slot.wkey, owned)
+                if task is None:
+                    break
+                slot.index, slot.attempt = task
+                slot.wkey = queue.key(slot.index)
+                slot.deadline = None if timeout is None else now + timeout
                 try:
-                    slot.conn.send((index, points[index]))
-                except (BrokenPipeError, OSError):
-                    # worker died between tasks: respawn and requeue
-                    retire(slot)
-                    fresh = spawn()
-                    slots[slots.index(slot)] = fresh
-                    requeue(index, attempt,
-                            "worker process died before accepting the point")
+                    slot.conn.send((slot.index, points[slot.index]))
+                except OSError:
+                    replace(slot, "worker process died before accepting "
+                                  "the point")
 
             busy = [slot for slot in slots if slot.busy]
-            if not busy:
-                if queue:
-                    continue
-                if delayed:
-                    time.sleep(max(0.0, min(e[0] for e in delayed)
-                                   - time.monotonic()))
-                    continue
-                break  # unresolved but nothing queued: all accounted for
-
             # wake on the next completion, deadline, or backoff expiry
-            wait_until = min((slot.deadline for slot in busy
-                              if slot.deadline is not None),
-                             default=None)
-            if delayed:
-                soonest = min(entry[0] for entry in delayed)
-                wait_until = soonest if wait_until is None \
-                    else min(wait_until, soonest)
-            wait_timeout = None if wait_until is None \
-                else max(0.0, wait_until - time.monotonic())
-            ready_conns = conn_wait([slot.conn for slot in busy],
-                                    timeout=wait_timeout)
+            wake = [slot.deadline for slot in busy
+                    if slot.deadline is not None]
+            if queue.next_ready_at() is not None:
+                wake.append(queue.next_ready_at())
+            if not busy:
+                if len(queue) or not slots:
+                    continue  # a failed send requeued a point or shrank
+                if not wake:
+                    break  # nothing running or queued: all accounted for
+                time.sleep(max(0.0, min(wake) - time.monotonic()))
+                continue
+            ready = conn_wait(
+                [slot.conn for slot in busy],
+                timeout=max(0.0, min(wake) - time.monotonic())
+                if wake else None)
 
-            for slot in [s for s in busy if s.conn in ready_conns]:
-                index, attempt = slot.index, slot.attempt
-                try:
-                    result_index, stats_dict, error = slot.conn.recv()
-                except (EOFError, OSError):
-                    # the worker died mid-point (segfault, OOM kill)
-                    retire(slot)
-                    slots[slots.index(slot)] = spawn()
-                    requeue(index, attempt,
-                            "worker process died while running the point")
-                    continue
-                slot.index, slot.attempt, slot.deadline = None, 0, None
-                if error is not None and attempt <= retries:
-                    requeue(index, attempt, error)
-                    continue
-                stats = None if stats_dict is None \
-                    else stats_from_dict(stats_dict)
-                finish(result_index, PointResult(
-                    points[result_index], stats=stats, error=error,
-                    attempts=attempt))
-                unresolved.discard(result_index)
-
-            # timeout watchdog: kill stragglers past their deadline
-            now = time.monotonic()
-            for position, slot in enumerate(slots):
-                if (slot.busy and slot.deadline is not None
-                        and now >= slot.deadline
-                        and slot.conn not in ready_conns):
+            for slot in busy:
+                if slot.conn in ready:
                     index, attempt = slot.index, slot.attempt
-                    retire(slot)
-                    slots[position] = spawn()
-                    requeue(index, attempt,
-                            f"TimeoutError: point exceeded the {timeout}s "
-                            f"wall-clock budget (attempt {attempt})")
+                    try:
+                        _, stats_dict, error = slot.conn.recv()
+                    except (EOFError, OSError):
+                        # the worker died mid-point (segfault, OOM kill)
+                        replace(slot, "worker process died while running "
+                                      "the point")
+                        continue
+                    slot.index, slot.attempt, slot.deadline = None, 0, None
+                    queue.report(index, attempt, stats_dict, error)
+                elif slot.deadline is not None \
+                        and time.monotonic() >= slot.deadline:
+                    # timeout watchdog: kill the straggler
+                    replace(slot, f"TimeoutError: point exceeded the "
+                                  f"{timeout}s wall-clock budget (attempt "
+                                  f"{slot.attempt})")
     finally:
         for slot in slots:
             if not slot.busy:
                 try:
                     slot.conn.send(None)
-                except (BrokenPipeError, OSError):
+                except OSError:
                     pass
             retire(slot)
 

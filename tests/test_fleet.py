@@ -262,6 +262,35 @@ def test_abandoned_lease_expires_and_requeues(tmp_path):
     assert max(r.attempts for r in fleet.results.values()) >= 2
 
 
+def test_leases_keep_each_worker_on_one_workload(tmp_path):
+    # a grid ordered workload by workload, as the figure grids are: two
+    # workers leasing in turn must each stay on one workload (its trace
+    # memo keeps hitting) instead of alternating over both in FIFO order
+    points = [SweepPoint(profile=BENCHMARKS[name], scheme=scheme, size=size,
+                         insts=800, seed=1)
+              for name in ("gsm", "adpcm")
+              for scheme, size in (("sharing", 48), ("conventional", 48),
+                                   ("sharing", 64))]
+    config = FleetConfig(host="127.0.0.1", port=0, lease_deadline=60.0,
+                         local=False)
+    fleet = _Fleet(points, tmp_path, config=config)
+    socks = {}
+    try:
+        socks = {name: _hello(fleet.host, fleet.port, name)
+                 for name in ("w0", "w1")}
+        leased = {name: [] for name in socks}
+        for _ in range(3):
+            for name, sock in socks.items():
+                reply, _ = protocol.request(sock, {"type": "lease"})
+                assert reply["type"] == "point"
+                leased[name].append(points[reply["index"]].benchmark)
+    finally:
+        for sock in socks.values():
+            sock.close()
+        fleet.stop()
+    assert leased == {"w0": ["gsm"] * 3, "w1": ["adpcm"] * 3}
+
+
 def test_stale_upload_discarded_not_committed(tmp_path):
     points = _points(1)
     expected = _reference(points)

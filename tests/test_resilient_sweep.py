@@ -1,8 +1,8 @@
 """Resilient sweep execution: timeouts, retries, crash-safe resume.
 
 Worker behaviour is controlled by monkeypatching
-:data:`repro.harness.parallel._POINT_RUNNER`; on Linux the pool and the
-fleet fork their workers, so the patched runner propagates into children.
+:data:`repro.harness.parallel._POINT_RUNNER`; on Linux the worker pool
+forks its workers, so the patched runner propagates into children.
 Cross-process side effects (crash-once counters) go through files, the
 only channel that survives the process boundary.
 """
@@ -233,12 +233,77 @@ def test_fleet_spawn_failure_degrades_serial_with_timeout(
     runner(hang)
     collected = {}
     start = time.monotonic()
-    parallel._run_fleet(_points(1), [0], collected.__setitem__,
-                        workers=2, timeout=0.3, retries=0,
-                        retry_delay=0.01)
+    parallel._run_pool(_points(1), [0], collected.__setitem__,
+                       workers=2, timeout=0.3, retries=0,
+                       retry_delay=0.01)
     assert time.monotonic() - start < 30
     assert not collected[0].ok
     assert "wall-clock budget" in collected[0].error
+
+
+def _refuse_forks_after(monkeypatch, allowed):
+    """Let the first ``allowed`` worker forks through, then refuse every
+    later one with OSError (an rlimit or memory-pressure stand-in)."""
+    import multiprocessing
+
+    real = multiprocessing.get_context
+    forks = [0]
+
+    class _RationedCtx:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def Pipe(self):
+            return self._inner.Pipe()
+
+        def Process(self, *args, **kwargs):
+            forks[0] += 1
+            if forks[0] > allowed:
+                raise OSError("fork refused (injected)")
+            return self._inner.Process(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda kind=None: _RationedCtx(real("fork")))
+    return forks
+
+
+def _die_once(marker):
+    def die_once(point):
+        if not marker.exists():
+            marker.write_text("x")
+            os._exit(17)  # hard exit: no exception, no cleanup
+        return parallel.simulate_point(point)
+
+    return die_once
+
+
+def test_refused_respawn_shrinks_the_pool(tmp_path, runner, monkeypatch):
+    # both workers fork, then the respawn after a worker death is
+    # refused: the sweep carries on with the one worker left
+    points = _points(3)
+    expected = [parallel.simulate_point(p).to_dict() for p in points]
+    runner(_die_once(tmp_path / "die-once"))
+    forks = _refuse_forks_after(monkeypatch, 2)
+    results = run_points(points, jobs=2, retries=1, retry_delay=0.01)
+    assert forks[0] == 3  # the refused respawn was really attempted
+    assert all(r.ok for r in results)
+    assert [r.stats.to_dict() for r in results] == expected
+    assert sorted(r.attempts for r in results) == [1, 1, 2]
+    assert not parallel._SHM_WORKLOADS
+
+
+def test_refused_respawn_of_last_worker_degrades_serial_with_timeout(
+        tmp_path, runner, monkeypatch):
+    # a pool of one loses its worker and may not fork again: the
+    # unresolved points finish in-process, under the wall-clock bound
+    points = _points(2)
+    expected = [parallel.simulate_point(p).to_dict() for p in points]
+    runner(_die_once(tmp_path / "die-once"))
+    _refuse_forks_after(monkeypatch, 1)
+    results = run_points(points, jobs=1, timeout=30.0, retries=1,
+                         retry_delay=0.01)
+    assert all(r.ok for r in results)
+    assert [r.stats.to_dict() for r in results] == expected
 
 
 # ------------------------------------------------------- bounded errors
@@ -300,10 +365,10 @@ def test_worker_death_without_retries_fails_the_point(runner):
     assert "died" in results[0].error
 
 
-def test_executor_broken_pool_degrades_to_serial(runner):
-    """The plain executor path (no timeout/retries) survives pool
-    breakage: every pool worker dies instantly, so the pool breaks
-    POOL_FAILURE_LIMIT times and the remainder runs in-process."""
+def test_worker_death_is_a_failed_attempt_on_a_plain_sweep(runner):
+    """A plain jobs>1 sweep (no timeout, no retries) survives workers
+    that die on every point: each death fails its point's only attempt,
+    the pool respawns, and the point never re-runs in the parent."""
     parent = os.getpid()
 
     def die_in_children(point):
@@ -312,19 +377,31 @@ def test_executor_broken_pool_degrades_to_serial(runner):
         return parallel.simulate_point(point)
 
     runner(die_in_children)
-    results = run_points(_points(2), jobs=2)
-    assert all(r.ok for r in results)
+    results = run_points(_points(3), jobs=2, retries=0)
+    assert len(results) == 3
+    assert all(not r.ok and "died" in r.error for r in results)
+    assert all(r.attempts == 1 for r in results)
+    assert not parallel._SHM_WORKLOADS  # no segment outlives the sweep
 
 
 # ------------------------------------------------------------- determinism
 def test_fleet_results_bit_identical_to_serial():
+    from repro.fleet import FleetConfig
+
     points = _points(3)
     serial = run_points(points, jobs=1)
-    fleet = run_points(points, jobs=2, timeout=120.0, retries=2)
-    executor = run_points(points, jobs=2)
-    for a, b, c in zip(serial, fleet, executor):
-        assert a.ok and b.ok and c.ok
-        assert a.stats.to_dict() == b.stats.to_dict() == c.stats.to_dict()
+    runs = {
+        "pool": run_points(points, jobs=2),
+        "pool+timeout": run_points(points, jobs=2, timeout=120.0,
+                                   retries=2),
+        # no worker ever connects: the coordinator runs every point itself
+        "coordinator": run_points(points, jobs=1, remote=FleetConfig(
+            host="127.0.0.1", port=0, local_fallback_after=0)),
+    }
+    expected = [r.stats.to_dict() for r in serial]
+    for name, results in runs.items():
+        assert all(r.ok for r in results), name
+        assert [r.stats.to_dict() for r in results] == expected, name
 
 
 # ------------------------------------------------------------- journal

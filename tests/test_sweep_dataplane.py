@@ -2,14 +2,15 @@
 
 These pin the three mechanisms behind the sweep data plane at the unit
 level — the O(1) fsync'd journal append (with bounded compaction), the
-affinity dispatch order/queue, and the shared-memory workload broadcast
-lifecycle — plus a pytest-level bit-identity matrix across jobs, codec
+sweep scheduler (:class:`PointQueue`), and the shared-memory workload
+broadcast lifecycle — plus a pytest-level bit-identity matrix across jobs, codec
 format and broadcast on/off.  End-to-end wall-clock is covered by
 ``tools/sweep_smoke.py`` and ``repro bench sweep``.
 """
 
 import json
 import os
+import time
 
 import pytest
 
@@ -100,14 +101,8 @@ def test_torn_final_line_is_skipped_on_load(tmp_path):
 
 
 # ----------------------------------------------------------------- affinity
-@pytest.fixture()
-def scheme_kernels(monkeypatch):
-    """Make the kernel key deterministic (scheme name) for these tests."""
-    monkeypatch.setattr(parallel, "_kernel_key", lambda p: p.scheme)
-
-
 def _mixed_points():
-    """Interleaved workloads (profile) and kernels (scheme)."""
+    """Interleaved workloads: gsm at 0, 2, 3 and adpcm at 1, 4."""
     mk = lambda profile, scheme: SweepPoint(  # noqa: E731
         profile=BENCHMARKS[profile], scheme=scheme, size=48,
         insts=1500, seed=1)
@@ -116,86 +111,118 @@ def _mixed_points():
             mk("adpcm", "conventional")]
 
 
-def test_affinity_order_groups_stably(monkeypatch, scheme_kernels):
-    monkeypatch.delenv(parallel.NO_AFFINITY_ENV, raising=False)
+def _queue(monkeypatch, fifo=False, **kwargs):
+    if fifo:
+        monkeypatch.setenv(parallel.NO_AFFINITY_ENV, "1")
+    else:
+        monkeypatch.delenv(parallel.NO_AFFINITY_ENV, raising=False)
     points = _mixed_points()
-    # groups in first-seen order: (gsm, sharing) -> 0 and 3,
-    # (adpcm, sharing) -> 1, (gsm, conventional) -> 2, (adpcm, conv) -> 4
-    assert parallel._affinity_order(points, [0, 1, 2, 3, 4]) == \
-        [0, 3, 1, 2, 4]
-    # only the pending subset is ordered
-    assert parallel._affinity_order(points, [1, 2, 3]) == [1, 2, 3]
+    resolved = {}
+    queue = parallel.PointQueue(points, list(range(len(points))),
+                                resolved.__setitem__, **kwargs)
+    return points, queue, resolved
 
 
-def test_affinity_order_fifo_under_kill_switch(monkeypatch, scheme_kernels):
-    monkeypatch.setenv(parallel.NO_AFFINITY_ENV, "1")
-    points = _mixed_points()
-    assert parallel._affinity_order(points, [0, 1, 2, 3, 4]) == \
-        [0, 1, 2, 3, 4]
-
-
-def test_affinity_queue_prefers_same_workload_then_kernel(
-        monkeypatch, scheme_kernels):
-    monkeypatch.delenv(parallel.NO_AFFINITY_ENV, raising=False)
-    points = _mixed_points()
+def test_affinity_queue_prefers_same_workload(monkeypatch):
+    points, queue, _ = _queue(monkeypatch)
     gsm = parallel._workload_key(points[0])
     adpcm = parallel._workload_key(points[1])
+    assert len(queue) == 5 and queue.key(2) == gsm
 
-    queue = parallel._AffinityQueue(points)
-    for index in range(5):
-        queue.push(index, attempt=0)
-    assert len(queue) == 5
-
-    # exact (workload, kernel) match beats FIFO order
-    assert queue.pop(gsm, "conventional") == (2, 0)
-    # same workload, kernel gone: stays on the workload (memo hit)
-    assert queue.pop(gsm, "conventional") == (0, 0)
+    # the worker's last workload beats FIFO order
+    assert queue.pop(adpcm) == (1, 1)
+    assert queue.pop(gsm) == (0, 1)
     # cold worker avoids workloads other busy workers own
-    assert queue.pop(None, None, owned=frozenset({gsm})) == (1, 0)
+    assert queue.pop(None, owned=frozenset({gsm})) == (4, 1)
     # all remaining workloads owned: fall back to the largest group
-    assert queue.pop(None, None, owned=frozenset({gsm, adpcm})) == (3, 0)
-    assert queue.pop(adpcm, "sharing") == (4, 0)
+    assert queue.pop(None, owned=frozenset({gsm, adpcm})) == (2, 1)
+    # last workload drained: move on to what is left
+    assert queue.pop(adpcm) == (3, 1)
     assert queue.pop() is None and len(queue) == 0
 
 
-def test_affinity_queue_spreads_distinct_workloads(
-        monkeypatch, scheme_kernels):
-    monkeypatch.delenv(parallel.NO_AFFINITY_ENV, raising=False)
-    points = _mixed_points()
+def test_affinity_queue_spreads_distinct_workloads(monkeypatch):
+    points, queue, _ = _queue(monkeypatch)
     gsm = parallel._workload_key(points[0])
     adpcm = parallel._workload_key(points[1])
-
-    queue = parallel._AffinityQueue(points)
-    for index in range(5):
-        queue.push(index, attempt=0)
     # first cold worker takes the largest group (gsm: 3 tasks)
     index, _ = queue.pop()
     assert parallel._workload_key(points[index]) == gsm
     # second cold worker is steered off the owned workload
-    index, _ = queue.pop(None, None, owned=frozenset({gsm}))
+    index, _ = queue.pop(None, owned=frozenset({gsm}))
     assert parallel._workload_key(points[index]) == adpcm
 
 
-def test_affinity_queue_fifo_under_kill_switch(monkeypatch, scheme_kernels):
-    monkeypatch.setenv(parallel.NO_AFFINITY_ENV, "1")
-    points = _mixed_points()
-    queue = parallel._AffinityQueue(points)
-    for index in range(5):
-        queue.push(index, attempt=index % 2)
+def test_affinity_queue_fifo_under_kill_switch(monkeypatch):
+    points, queue, _ = _queue(monkeypatch, fifo=True, retries=1)
     gsm = parallel._workload_key(points[0])
-    popped = [queue.pop(gsm, "sharing") for _ in range(5)]
-    assert popped == [(0, 0), (1, 1), (2, 0), (3, 1), (4, 0)]
+    assert queue.key(0) is None  # one group for everything
+    assert queue.pop(gsm) == (0, 1)
+    queue.fail(0, 1, "crashed")  # a retry joins the back of the line
+    popped = [queue.pop(gsm, owned=frozenset({gsm})) for _ in range(5)]
+    assert popped == [(1, 1), (2, 1), (3, 1), (4, 1), (0, 2)]
     assert queue.pop() is None
 
 
-def test_affinity_queue_carries_retry_attempts(monkeypatch, scheme_kernels):
-    monkeypatch.delenv(parallel.NO_AFFINITY_ENV, raising=False)
-    points = _mixed_points()
-    queue = parallel._AffinityQueue(points)
-    queue.push(0, attempt=0)
+def test_affinity_queue_carries_retry_attempts(monkeypatch):
+    requeues = []
+    _, queue, resolved = _queue(monkeypatch, retries=2,
+                                on_requeue=lambda: requeues.append(1))
+    assert [queue.pop() for _ in range(5)][0] == (0, 1)
+    queue.fail(0, 1, "timed out")
+    assert queue.pop() == (0, 2)  # same point, next attempt
+    queue.fail(0, 2, "timed out")
+    assert queue.pop() == (0, 3)
+    assert len(requeues) == 2 and 0 not in resolved
+
+
+def test_point_queue_fails_past_retries_with_bounded_error(monkeypatch):
+    points, queue, resolved = _queue(monkeypatch, retries=1)
     queue.pop()
-    queue.push(0, attempt=1)  # requeued after a timeout
-    assert queue.pop() == (0, 1)
+    queue.fail(0, 1, "first")
+    assert 0 not in resolved
+    queue.pop()
+    huge = "E" * (4 * parallel.ERROR_LIMIT) + "!end"
+    queue.fail(0, 2, huge)  # attempt 2 > retries=1: final
+    result = resolved[0]
+    assert not result.ok and result.attempts == 2
+    assert result.point == points[0]
+    assert len(result.error) <= parallel.ERROR_LIMIT
+    assert result.error.endswith("!end")
+    assert "characters truncated" in result.error
+    assert 0 not in queue.unresolved
+
+
+def test_point_queue_backs_off_before_the_retry(monkeypatch):
+    _, queue, _ = _queue(monkeypatch, retries=1, retry_delay=0.2)
+    for _ in range(5):
+        queue.pop()
+    assert queue.next_ready_at() is None
+    before = time.monotonic()
+    queue.fail(3, 1, "crashed")
+    ready_at = queue.next_ready_at()
+    assert ready_at - before >= parallel._backoff(0.2, 1, 3) - 0.01
+    assert len(queue) == 0 and queue.pop() is None  # still backing off
+    time.sleep(max(0.0, ready_at - time.monotonic()) + 0.01)
+    assert queue.pop() == (3, 2)
+    assert queue.next_ready_at() is None
+
+
+def test_point_queue_resolves_each_point_once():
+    points = _mixed_points()
+    calls = []
+    queue = parallel.PointQueue(
+        points, list(range(len(points))),
+        lambda index, result: calls.append((index, result)))
+    first = parallel.PointResult(points[0], error="first", attempts=1)
+    queue.resolve(0, first)
+    queue.resolve(0, parallel.PointResult(points[0], error="second"))
+    queue.fail(0, 5, "stale duplicate")
+    assert calls == [(0, first)]
+    assert not queue.done
+    for index in range(1, 5):
+        queue.report(index, 1, None, "failed")
+    assert queue.done and len(calls) == 5
 
 
 # ---------------------------------------------------------------- broadcast

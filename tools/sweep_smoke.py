@@ -2,12 +2,14 @@
 """CI smoke test for the sweep data plane.
 
 Drives a small figure grid through every data-plane configuration and
-asserts the determinism contract end to end:
+every sweep backend, and asserts the determinism contract end to end:
 
-* serial (jobs=1), parallel with the full data plane (binary codec +
-  shared-memory broadcast + affinity scheduling) and parallel with the
-  legacy path (gzip JSON-lines, no broadcast, FIFO dispatch) all produce
-  bit-identical per-point stats;
+* serial (jobs=1), the worker pool with the full data plane (binary
+  codec + shared-memory broadcast + affinity scheduling), the pool with
+  the legacy path (gzip JSON-lines, no broadcast, FIFO dispatch), the
+  pool with a per-point timeout and retries, and the TCP fleet
+  coordinator degraded to local execution (no worker connects) all
+  produce bit-identical per-point stats;
 * the shared-memory broadcast actually engages (one segment per distinct
   workload) and leaves nothing behind after the sweep;
 * the binary trace cache is populated cold and served warm.
@@ -32,6 +34,7 @@ except ImportError:  # fall back to a source checkout
 import repro.harness.parallel as parallel_mod
 from repro.harness.bench_sweep import bench_decode
 from repro.harness.cache import TraceCache, reset_trace_memo
+from repro.fleet import FleetConfig
 from repro.harness.parallel import SweepPoint, WorkloadBroadcast, run_points
 from repro.workloads.profiles import BENCHMARKS
 
@@ -43,7 +46,7 @@ def _grid() -> list[SweepPoint]:
             for size in (48, 96)]
 
 
-def _run(points, jobs, trace_dir, fmt, shm, affinity):
+def _run(points, jobs, trace_dir, fmt, shm, affinity, **options):
     env = {"REPRO_TRACE_DIR": str(trace_dir), "REPRO_TRACE_FORMAT": fmt,
            "REPRO_NO_SHM": "" if shm else "1",
            "REPRO_NO_AFFINITY": "" if affinity else "1"}
@@ -56,7 +59,7 @@ def _run(points, jobs, trace_dir, fmt, shm, affinity):
                 os.environ.pop(key, None)
         reset_trace_memo()
         start = time.perf_counter()
-        results = run_points(points, jobs=jobs)
+        results = run_points(points, jobs=jobs, **options)
         wall = time.perf_counter() - start
     finally:
         for key, value in saved.items():
@@ -91,16 +94,28 @@ def main() -> int:
                                      shm=True, affinity=True)
             legacy_wall, legacy = _run(points, 2, tmp + "/l", "jsonl",
                                        shm=False, affinity=False)
+            resilient_wall, resilient = _run(
+                points, 2, tmp + "/r", "binary", shm=True, affinity=True,
+                timeout=120.0, retries=1)
+            # local_fallback_after=0 and no worker: the coordinator runs
+            # every point itself, through the same scheduler as the pool
+            coordinator_wall, coordinator = _run(
+                points, 1, tmp + "/c", "binary", shm=True, affinity=True,
+                remote=FleetConfig(host="127.0.0.1", port=0,
+                                   local_fallback_after=0))
 
-            if not (serial == plane == legacy):
-                print("FAIL: serial / data-plane / legacy results diverge")
+            if not (serial == plane == legacy == resilient == coordinator):
+                print("FAIL: serial / data-plane / legacy / timeout+retries "
+                      "/ coordinator results diverge")
                 return 1
-            # publish fires once per multi-process run: the data-plane
-            # run broadcasts one segment per workload, the legacy run
-            # (shm disabled) correctly broadcasts none
-            if published != [len(workloads), 0]:
+            # publish fires once per pool run: the data-plane and the
+            # timeout+retries runs broadcast one segment per workload, the
+            # legacy run (shm disabled) correctly broadcasts none, and the
+            # coordinator never forks, so it does not publish
+            expected = [len(workloads), 0, len(workloads)]
+            if published != expected:
                 print(f"FAIL: broadcast published {published} segments "
-                      f"across runs, expected [{len(workloads)}, 0]")
+                      f"across runs, expected {expected}")
                 return 1
             if parallel_mod._SHM_WORKLOADS:
                 print(f"FAIL: shared-memory segments leaked: "
@@ -122,6 +137,8 @@ def main() -> int:
         "serial_seconds": round(serial_wall, 3),
         "dataplane_seconds": round(plane_wall, 3),
         "legacy_seconds": round(legacy_wall, 3),
+        "resilient_seconds": round(resilient_wall, 3),
+        "coordinator_seconds": round(coordinator_wall, 3),
         "decode": decode,
         "identical": True,
     }
@@ -131,7 +148,8 @@ def main() -> int:
 
     print(f"sweep smoke OK: {len(points)} points bit-identical across "
           f"serial, 2-job data plane (shm broadcast: {published[0]} "
-          f"segments, 0 leaked) and 2-job legacy jsonl; binary decode "
+          f"segments, 0 leaked), 2-job legacy jsonl, 2-job timeout+retries "
+          f"and the local-degrade fleet coordinator; binary decode "
           f"{decode['speedup_per_pass']:.1f}x per pass")
     return 0
 
