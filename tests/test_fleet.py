@@ -266,24 +266,35 @@ def test_leases_keep_each_worker_on_one_workload(tmp_path):
     # a grid ordered workload by workload, as the figure grids are: two
     # workers leasing in turn must each stay on one workload (its trace
     # memo keeps hitting) instead of alternating over both in FIFO order
+    configs = (("sharing", 48), ("conventional", 48), ("sharing", 64),
+               ("conventional", 64))
     points = [SweepPoint(profile=BENCHMARKS[name], scheme=scheme, size=size,
                          insts=800, seed=1)
-              for name in ("gsm", "adpcm")
-              for scheme, size in (("sharing", 48), ("conventional", 48),
-                                   ("sharing", 64))]
+              for name, count in (("gsm", 4), ("adpcm", 3))
+              for scheme, size in configs[:count]]
     config = FleetConfig(host="127.0.0.1", port=0, lease_deadline=60.0,
                          local=False)
-    fleet = _Fleet(points, tmp_path, config=config)
+    fleet = _Fleet(points, tmp_path, config=config, retries=0)
     socks = {}
+    leased = {"w0": [], "w1": []}
     try:
         socks = {name: _hello(fleet.host, fleet.port, name)
-                 for name in ("w0", "w1")}
-        leased = {name: [] for name in socks}
-        for _ in range(3):
-            for name, sock in socks.items():
-                reply, _ = protocol.request(sock, {"type": "lease"})
+                 for name in leased}
+        # in the first round only the other worker's live lease steers w1
+        # off the larger gsm group; the second starts with both workers
+        # idle, so only each worker's last workload keeps it where it was
+        for order in (("w0", "w1"), ("w1", "w0"), ("w0", "w1")):
+            held = {}
+            for name in order:
+                reply, _ = protocol.request(socks[name], {"type": "lease"})
                 assert reply["type"] == "point"
                 leased[name].append(points[reply["index"]].benchmark)
+                held[name] = reply
+            for name in order:  # release the lease (retries=0: resolved)
+                reply, _ = protocol.request(socks[name], {
+                    "type": "result", "lease": held[name]["lease"],
+                    "index": held[name]["index"], "error": "released"})
+                assert reply["type"] == "ok"
     finally:
         for sock in socks.values():
             sock.close()

@@ -206,41 +206,6 @@ def test_serial_watchdog_clears_after_fast_point():
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
-def test_fleet_spawn_failure_degrades_serial_with_timeout(
-        runner, monkeypatch):
-    # fork refused entirely: the fleet degrades to in-process serial
-    # execution and the wall-clock bound must survive the degrade
-    import multiprocessing
-
-    real = multiprocessing.get_context
-
-    class _NoForkCtx:
-        def __init__(self, inner):
-            self._inner = inner
-
-        def Pipe(self):
-            return self._inner.Pipe()
-
-        def Process(self, *args, **kwargs):
-            raise OSError("fork refused (injected)")
-
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda kind=None: _NoForkCtx(real("fork")))
-
-    def hang(point):
-        time.sleep(60)
-
-    runner(hang)
-    collected = {}
-    start = time.monotonic()
-    parallel._run_pool(_points(1), [0], collected.__setitem__,
-                       workers=2, timeout=0.3, retries=0,
-                       retry_delay=0.01)
-    assert time.monotonic() - start < 30
-    assert not collected[0].ok
-    assert "wall-clock budget" in collected[0].error
-
-
 def _refuse_forks_after(monkeypatch, allowed):
     """Let the first ``allowed`` worker forks through, then refuse every
     later one with OSError (an rlimit or memory-pressure stand-in)."""
@@ -265,6 +230,26 @@ def _refuse_forks_after(monkeypatch, allowed):
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda kind=None: _RationedCtx(real("fork")))
     return forks
+
+
+def test_fleet_spawn_failure_degrades_serial_with_timeout(
+        runner, monkeypatch):
+    # fork refused entirely: the pool degrades to in-process serial
+    # execution and the wall-clock bound must survive the degrade
+    _refuse_forks_after(monkeypatch, 0)
+
+    def hang(point):
+        time.sleep(60)
+
+    runner(hang)
+    collected = {}
+    start = time.monotonic()
+    parallel._run_pool(_points(1), [0], collected.__setitem__,
+                       workers=2, timeout=0.3, retries=0,
+                       retry_delay=0.01)
+    assert time.monotonic() - start < 30
+    assert not collected[0].ok
+    assert "wall-clock budget" in collected[0].error
 
 
 def _die_once(marker):
@@ -340,15 +325,7 @@ def test_pathological_failure_message_is_bounded(runner):
 
 # ------------------------------------------------------------- worker death
 def test_worker_death_is_requeued_and_recovered(tmp_path, runner):
-    marker = tmp_path / "die-once"
-
-    def die_once(point):
-        if not marker.exists():
-            marker.write_text("x")
-            os._exit(17)  # hard exit: no exception, no cleanup
-        return parallel.simulate_point(point)
-
-    runner(die_once)
+    runner(_die_once(tmp_path / "die-once"))
     baseline = parallel.simulate_point(_points(1)[0])
     results = run_points(_points(1), jobs=2, retries=1, retry_delay=0.01)
     assert results[0].ok

@@ -3,8 +3,8 @@
 These pin the three mechanisms behind the sweep data plane at the unit
 level — the O(1) fsync'd journal append (with bounded compaction), the
 sweep scheduler (:class:`PointQueue`), and the shared-memory workload
-broadcast lifecycle — plus a pytest-level bit-identity matrix across jobs, codec
-format and broadcast on/off.  End-to-end wall-clock is covered by
+broadcast lifecycle — plus a pytest-level bit-identity matrix across
+jobs, codec format and broadcast on/off.  End-to-end wall-clock is covered by
 ``tools/sweep_smoke.py`` and ``repro bench sweep``.
 """
 
