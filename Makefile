@@ -104,7 +104,7 @@ golden:
 
 lint-goldens: golden
 
-# cycle-loop throughput gate: fail if the sharing scheme drops >25% below
+# cycle-loop throughput gate: fail if the sharing scheme drops >35% below
 # the committed BENCH_cycleloop.json record, or if interval sampling no
 # longer runs >= 3x faster than exact simulation
 bench-floor:

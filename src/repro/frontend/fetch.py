@@ -96,6 +96,12 @@ class FetchUnit:
         dyn = self.source.next_inst()
         if dyn is None:
             self._eof = True
+        elif dyn.fetch_cycle != -1:
+            raise ValueError(
+                f"instruction seq={dyn.seq} pc={dyn.pc} was already fetched "
+                "by an earlier simulation; a DynInst can be simulated only "
+                "once: re-materialize the stream for each run, or pass a "
+                "TraceStream (each iteration builds fresh instructions)")
         return dyn
 
     # ------------------------------------------------------------- operations

@@ -1,9 +1,14 @@
-"""Set-associative write-back cache with LRU replacement."""
+"""Set-associative write-back caches with LRU replacement.
+
+State is flat: each set is a list of its resident line numbers
+(``addr // line_bytes``, the tag with the set index folded in), most
+recently used last; dirty lines and prefetched-but-not-yet-demanded
+lines are two sets of line numbers; counters are plain ints.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass
@@ -20,44 +25,6 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-class _Set:
-    """One cache set: list of (tag, dirty) kept in LRU order (MRU last)."""
-
-    __slots__ = ("tags", "dirty")
-
-    def __init__(self) -> None:
-        self.tags: list[int] = []
-        self.dirty: list[bool] = []
-
-    def find(self, tag: int) -> int:
-        try:
-            return self.tags.index(tag)
-        except ValueError:
-            return -1
-
-    def touch(self, way: int) -> None:
-        tag = self.tags.pop(way)
-        dirty = self.dirty.pop(way)
-        self.tags.append(tag)
-        self.dirty.append(dirty)
-
-    def insert(self, tag: int, dirty: bool, assoc: int) -> Optional[tuple[int, bool]]:
-        """Insert; returns the evicted (tag, dirty) if any."""
-        victim = None
-        if len(self.tags) >= assoc:
-            victim = (self.tags.pop(0), self.dirty.pop(0))
-        self.tags.append(tag)
-        self.dirty.append(dirty)
-        return victim
-
-    def remove(self, tag: int) -> Optional[bool]:
-        way = self.find(tag)
-        if way < 0:
-            return None
-        self.tags.pop(way)
-        return self.dirty.pop(way)
-
-
 class Cache:
     """A cache level.
 
@@ -66,8 +33,14 @@ class Cache:
     DRAM object; both expose the same ``access(addr, is_write, cycle)``
     signature.  Writes are write-back/write-allocate; evicted dirty lines
     charge a writeback at the next level (latency not added to the critical
-    path, as with a write buffer).
+    path, as with a write buffer).  A prefetched line stays pending until
+    its first demand hit, even if it is evicted first.
     """
+
+    __slots__ = ("name", "size_bytes", "assoc", "line_bytes", "hit_latency",
+                 "next_level", "num_sets", "mask", "sets", "dirty",
+                 "prefetched", "hits", "misses", "writebacks", "prefetches",
+                 "prefetch_hits")
 
     def __init__(
         self,
@@ -89,69 +62,69 @@ class Cache:
         self.num_sets = size_bytes // (assoc * line_bytes)
         if self.num_sets & (self.num_sets - 1):
             raise ValueError(f"{name}: number of sets must be a power of two")
-        self._sets = [_Set() for _ in range(self.num_sets)]
-        self.stats = CacheStats()
-        #: lines brought in by the prefetcher and not yet demanded
-        self._prefetched: set[int] = set()
+        self.mask = self.num_sets - 1
+        self.sets: list[list[int]] = [[] for _ in range(self.num_sets)]
+        self.dirty: set[int] = set()
+        self.prefetched: set[int] = set()
+        self.reset_stats()
 
-    # ------------------------------------------------------------------ layout
-    def _index_tag(self, addr: int) -> tuple[int, int]:
-        block = addr // self.line_bytes
-        return block % self.num_sets, block // self.num_sets
-
-    def _block(self, addr: int) -> int:
-        return addr // self.line_bytes
-
-    # ------------------------------------------------------------------ access
-    def access(self, addr: int, is_write: bool, cycle: int, _prefetch: bool = False) -> int:
-        index, tag = self._index_tag(addr)
-        cache_set = self._sets[index]
-        way = cache_set.find(tag)
-
-        if not _prefetch:
-            self.stats.accesses += 1
-
-        if way >= 0:
-            if not _prefetch:
-                self.stats.hits += 1
-                block = self._block(addr)
-                if block in self._prefetched:
-                    self._prefetched.discard(block)
-                    self.stats.prefetch_hits += 1
-            cache_set.touch(way)
-            if is_write:
-                cache_set.dirty[-1] = True
-            return self.hit_latency
-
-        # miss: fill from below
-        if not _prefetch:
-            self.stats.misses += 1
-        lower_latency = 0
-        if self.next_level is not None:
-            lower_latency = self.next_level.access(addr, False, cycle)
-        victim = cache_set.insert(tag, is_write, self.assoc)
-        if victim is not None and victim[1]:
-            self.stats.writebacks += 1
-            if self.next_level is not None:
-                self.next_level.access(self._victim_addr(index, victim[0]), True, cycle)
-        if _prefetch:
-            self._prefetched.add(self._block(addr))
-        return self.hit_latency + lower_latency
+    def access(self, addr: int, is_write: bool, cycle: int) -> int:
+        line = addr // self.line_bytes
+        ways = self.sets[line & self.mask]
+        if line not in ways:
+            self.misses += 1
+            return self.hit_latency + self._fill(line, addr, is_write, cycle)
+        ways.remove(line)
+        ways.append(line)
+        self.hits += 1
+        if line in self.prefetched:
+            self.prefetched.discard(line)
+            self.prefetch_hits += 1
+        if is_write:
+            self.dirty.add(line)
+        return self.hit_latency
 
     def prefetch(self, addr: int, cycle: int) -> None:
         """Bring a line in without charging a demand access."""
-        index, tag = self._index_tag(addr)
-        if self._sets[index].find(tag) >= 0:
-            return
-        self.stats.prefetches += 1
-        self.access(addr, False, cycle, _prefetch=True)
+        line = addr // self.line_bytes
+        if line not in self.sets[line & self.mask]:
+            self.prefetches += 1
+            self.prefetched.add(line)
+            self._fill(line, addr, False, cycle)
+
+    def _fill(self, line: int, addr: int, is_write: bool, cycle: int) -> int:
+        """Install ``line`` as MRU; returns the lower levels' latency."""
+        lower = self.next_level
+        latency = lower.access(addr, False, cycle) if lower is not None else 0
+        ways = self.sets[line & self.mask]
+        victim = ways.pop(0) if len(ways) >= self.assoc else None
+        ways.append(line)
+        if is_write:
+            self.dirty.add(line)
+        if victim in self.dirty:
+            self.dirty.discard(victim)
+            self.writebacks += 1
+            if lower is not None:
+                lower.access(victim * self.line_bytes, True, cycle)
+        return latency
 
     def contains(self, addr: int) -> bool:
-        index, tag = self._index_tag(addr)
-        return self._sets[index].find(tag) >= 0
+        line = addr // self.line_bytes
+        return line in self.sets[line & self.mask]
 
-    def _victim_addr(self, index: int, tag: int) -> int:
-        return (tag * self.num_sets + index) * self.line_bytes
+    @property
+    def stats(self) -> CacheStats:
+        return CacheStats(self.hits + self.misses, self.hits, self.misses,
+                          self.writebacks, self.prefetches, self.prefetch_hits)
 
     def reset_stats(self) -> None:
-        self.stats = CacheStats()
+        self.hits = self.misses = self.writebacks = 0
+        self.prefetches = self.prefetch_hits = 0
+
+    def state(self) -> dict:
+        """Per-set ``[line, dirty]`` pairs (MRU last), pending prefetched
+        lines and counters."""
+        return {"sets": [[[line, line in self.dirty] for line in ways]
+                         for ways in self.sets],
+                "prefetched": sorted(self.prefetched),
+                "stats": vars(self.stats)}

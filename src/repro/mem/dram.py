@@ -44,26 +44,32 @@ class DRAMStats:
 
 
 class DRAM:
-    """Open-page DRAM with one row buffer per (rank, bank)."""
+    """Open-page DRAM with one row buffer per (rank, bank): row ``addr //
+    row_bytes`` maps to bank ``row % banks``, whose ``open_rows`` entry is
+    ``row // banks`` while open.  Latencies are computed once, here."""
+
+    __slots__ = ("timings", "banks", "row_bytes", "row_hit_latency",
+                 "row_miss_latency", "open_rows", "row_hits", "row_misses")
 
     def __init__(self, timings: DRAMTimings | None = None) -> None:
-        self.timings = timings or DRAMTimings()
-        total_banks = self.timings.ranks * self.timings.banks_per_rank
-        self._open_rows: list[int | None] = [None] * total_banks
-        self.stats = DRAMStats()
-
-    def _bank_row(self, addr: int) -> tuple[int, int]:
-        t = self.timings
-        row = addr // t.row_bytes
-        total_banks = t.ranks * t.banks_per_rank
-        return row % total_banks, row // total_banks
+        self.timings = t = timings or DRAMTimings()
+        self.banks, self.row_bytes = t.ranks * t.banks_per_rank, t.row_bytes
+        self.row_hit_latency = t.row_hit_latency
+        self.row_miss_latency = t.row_miss_latency
+        self.open_rows: list[int | None] = [None] * self.banks
+        self.row_hits = self.row_misses = 0
 
     def access(self, addr: int, is_write: bool, cycle: int) -> int:
-        bank, row = self._bank_row(addr)
-        self.stats.accesses += 1
-        if self._open_rows[bank] == row:
-            self.stats.row_hits += 1
-            return self.timings.row_hit_latency
-        self.stats.row_misses += 1
-        self._open_rows[bank] = row
-        return self.timings.row_miss_latency
+        row = addr // self.row_bytes
+        bank, row = row % self.banks, row // self.banks
+        if self.open_rows[bank] == row:
+            self.row_hits += 1
+            return self.row_hit_latency
+        self.row_misses += 1
+        self.open_rows[bank] = row
+        return self.row_miss_latency
+
+    @property
+    def stats(self) -> DRAMStats:
+        return DRAMStats(self.row_hits + self.row_misses, self.row_hits,
+                         self.row_misses)

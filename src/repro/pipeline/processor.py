@@ -62,7 +62,12 @@ def _values_equal(a, b) -> bool:
 
 
 class Processor:
-    """Cycle-level OoO core."""
+    """Cycle-level OoO core.
+
+    ``source`` must deliver instructions no earlier run has fetched (their
+    ``fetch_cycle`` is -1); the fetch unit raises ``ValueError`` on one
+    that was, see :func:`simulate`.
+    """
 
     def __init__(
         self,
@@ -759,7 +764,13 @@ def simulate(
 
     ``workload`` may be an assembled :class:`Program` (executed
     functionally), an :class:`InstSource`, or any iterable of
-    :class:`DynInst` (e.g. a workload generator).
+    :class:`DynInst` (e.g. a workload generator).  Simulation writes its
+    pipeline state into each :class:`DynInst`, so a stream of
+    instructions can be simulated once: fetching an instruction that an
+    earlier run already fetched raises ``ValueError``.  Re-materialize the
+    stream per run, or pass a
+    :class:`~repro.harness.cache.TraceStream` or a generator workload,
+    whose every iteration yields fresh instructions.
 
     With ``oracle=True`` the commit-time differential oracle
     (:mod:`repro.verify.oracle`) is attached: program workloads get the

@@ -54,27 +54,11 @@ def _branch_state(bu: BranchUnit) -> tuple:
             list(bu.ras.stack), dataclasses.asdict(bu.stats))
 
 
-def _hier_state(h) -> tuple:
-    """Every bit of hierarchy state, including LRU/recency order."""
-    def cache_state(c):
-        return ([(list(s.tags), list(s.dirty)) for s in c._sets],
-                sorted(c._prefetched), dataclasses.asdict(c.stats))
-
-    prefetcher = None
-    if h.prefetcher is not None:
-        prefetcher = ({k: (e.last_addr, e.stride, e.confidence)
-                       for k, e in h.prefetcher.table.items()},
-                      h.prefetcher.issued)
-    return (cache_state(h.l1i), cache_state(h.l1d), cache_state(h.l2),
-            list(h.tlb._lru), dataclasses.asdict(h.tlb.stats),
-            list(h.dram._open_rows), dataclasses.asdict(h.dram.stats),
-            prefetcher)
-
-
 def _warmer_state(w: FunctionalWarmer) -> tuple:
     state = [_branch_state(w.branch_unit), w._last_fetch_line]
     if w.hierarchy is not None:
-        state.append(_hier_state(w.hierarchy))
+        # every bit of hierarchy state, including LRU/recency order
+        state.append(w.hierarchy.state())
     state.append(w.export_predictor_state())
     return tuple(state)
 

@@ -152,3 +152,46 @@ def test_counter_bits_one_in_pipeline():
     processor.run()
     int_regs, _ = processor.architectural_state()
     assert int_regs == reference.int_regs
+
+
+# ----------------------------------------------- instructions are single-use
+def _hmmer_insts(n: int = 400) -> list:
+    from repro.workloads.generator import SyntheticWorkload
+    from repro.workloads.profiles import BENCHMARKS
+
+    return list(SyntheticWorkload(BENCHMARKS["hmmer"], total_insts=n, seed=3))
+
+
+@pytest.mark.parametrize("loop", ["generated", "event", "naive"])
+def test_simulating_one_instruction_list_twice_raises(loop, tmp_path,
+                                                      monkeypatch):
+    """A second run over already-fetched DynInsts fails at fetch with the
+    remedy, not with an assertion deep in the LSQ."""
+    monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path))
+    insts = _hmmer_insts()
+    config = MachineConfig()
+
+    def run() -> Processor:
+        proc = Processor(config, IterSource(insts),
+                         naive_loop=loop == "naive",
+                         kernel=loop == "generated")
+        proc.run()
+        return proc
+
+    first = run()
+    assert first.loop_used == loop
+    assert first.stats.committed == len(insts)
+    with pytest.raises(ValueError, match="already fetched.*TraceStream"):
+        run()
+
+
+def test_trace_stream_simulates_twice_with_equal_stats():
+    from repro.harness.cache import TraceStream
+    from repro.workloads import trace_codec
+
+    insts = _hmmer_insts()
+    stream = TraceStream(trace_codec.encode(insts), len(insts))
+    first = simulate(MachineConfig(), stream)
+    second = simulate(MachineConfig(), stream)
+    assert first.committed == len(insts)
+    assert first.to_dict() == second.to_dict()
