@@ -43,7 +43,8 @@ class MemoryHierarchy:
     data access; ``inst_fetch(addr, is_write, cycle)`` (also ``access``,
     so the fetch unit can use the hierarchy as its I-cache) that of an
     instruction fetch, always a read.  Each is one Python call over the
-    components' flat state, with the results, state and counters of the
+    components' flat state (only a dirty L2 victim, rare, costs a second:
+    ``DRAM.access``), with the results, state and counters of the
     components' own methods chained as TLB -> L1 -> L2 -> DRAM.
     """
 
@@ -202,16 +203,10 @@ class MemoryHierarchy:
                         cost = lat2 + row_miss
                     if len(ways) >= assoc2:
                         victim = ways.pop(0)
-                        if victim in dirty2:  # written back to DRAM
+                        if victim in dirty2:  # rare: no inlining needed
                             dirty2.discard(victim)
                             l2.writebacks += 1
-                            row = victim * line_bytes // row_bytes
-                            bank, row = row % banks, row // banks
-                            if open_rows[bank] == row:
-                                dram.row_hits += 1
-                            else:
-                                dram.row_misses += 1
-                                open_rows[bank] = row
+                            dram.access(victim * line_bytes, True, cycle)
                     ways.append(line)
                 if write:
                     dirty2.add(line)
